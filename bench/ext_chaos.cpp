@@ -28,7 +28,7 @@
 //      mx_cancel for MX. A flow still pending once the event queue
 //      drains is a stack bug.
 //
-// Results land in results/ext_chaos{,_quick}.{txt,csv,json}; the
+// Results land in results/ext_chaos{,_quick}.{txt,json}; the
 // chaos-smoke CI job runs `ext_chaos quick` under FABSIM_CHECK and
 // scripts/chaos_soak.sh sweeps seeds for the long-form soak.
 #include <cstdio>

@@ -13,7 +13,8 @@
 // FabricScope metric registry populated by Cluster::collect_metrics(),
 // not from ad-hoc component accessors, so the numbers printed here are
 // exactly the ones every other bench dumps in its JSON report. Results
-// land in results/ext_faults.{txt,csv,json} via the shared Report helper.
+// land in results/ext_faults{,_quick}.{txt,json} via the shared Report
+// helper.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -157,7 +158,12 @@ Sample run_mx(double loss, std::uint32_t len, int iters, MetricRegistry* out = n
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "quick";
+  // quick: a reduced sweep, reported as <name>_quick beside the full run.
+  const bool quick = argc == 2 && std::string(argv[1]) == "quick";
+  if (argc > 1 && !quick) {
+    std::fprintf(stderr, "usage: %s [quick]\n", argv[0]);
+    return 2;
+  }
   std::printf("=== Extension X11: bandwidth degradation under frame loss ===\n");
 
   const std::vector<double> losses =
@@ -172,7 +178,7 @@ int main(int argc, char** argv) {
   constexpr std::uint32_t kProbeBytes = 64 * 1024;
   const double worst_loss = losses.back();
 
-  Report report("ext_faults");
+  Report report(quick ? "ext_faults_quick" : "ext_faults");
   report.add_note("seeded frame loss (seed=42): bandwidth + recovery counters per stack");
   report.add_note("recovery counters read from the FabricScope metric registry");
   report.add_scalar("seed", static_cast<double>(kSeed));

@@ -49,7 +49,6 @@ int main() {
     bandwidth.add_row(msg, std::move(row));
   }
   bandwidth.print();
-  bandwidth.print_csv();
 
   report.add_table(latency);
   report.add_table(bandwidth);

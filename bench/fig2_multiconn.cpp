@@ -2,6 +2,7 @@
 // throughput for NetEffect iWARP vs Mellanox IB over the common verbs
 // interface, 1..256 connections between two nodes.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/report.hpp"
@@ -10,8 +11,13 @@
 using namespace fabsim;
 using namespace fabsim::core;
 
-int main(int argc, char**) {
-  const bool quick = argc > 1;  // smaller sweep for smoke runs
+int main(int argc, char** argv) {
+  // quick: a reduced sweep, reported as <name>_quick beside the full run.
+  const bool quick = argc == 2 && std::string(argv[1]) == "quick";
+  if (argc > 1 && !quick) {
+    std::fprintf(stderr, "usage: %s [quick]\n", argv[0]);
+    return 2;
+  }
   std::printf("=== Figure 2: multi-connection scalability (paper Sec. 5.1) ===\n");
 
   const std::vector<int> connections =
@@ -22,7 +28,7 @@ int main(int argc, char**) {
   constexpr int kProbeConns = 16;
   constexpr std::uint32_t kProbeMsg = 1024;
 
-  Report report("fig2_multiconn");
+  Report report(quick ? "fig2_multiconn_quick" : "fig2_multiconn");
   report.add_note("multi-connection scalability, iWARP vs IB over common verbs");
   report.add_note("probe: per-round normalized latency histogram + metrics at conns=16 msg=1024B");
 

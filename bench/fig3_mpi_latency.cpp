@@ -43,7 +43,6 @@ int main() {
   }
   latency.print();
   overhead.print();
-  latency.print_csv();
 
   report.add_table(latency);
   report.add_table(overhead);

@@ -3,6 +3,7 @@
 // between 4 and 8 KB for iWARP's MPI, at 8 KB for MVAPICH/IB, and after
 // 32 KB for MPICH-MX (inside the MX library).
 #include <cstdio>
+#include <string>
 
 #include "core/report.hpp"
 #include "core/runners.hpp"
@@ -10,15 +11,20 @@
 using namespace fabsim;
 using namespace fabsim::core;
 
-int main(int argc, char**) {
-  const bool quick = argc > 1;
+int main(int argc, char** argv) {
+  // quick: a reduced sweep, reported as <name>_quick beside the full run.
+  const bool quick = argc == 2 && std::string(argv[1]) == "quick";
+  if (argc > 1 && !quick) {
+    std::fprintf(stderr, "usage: %s [quick]\n", argv[0]);
+    return 2;
+  }
   const auto networks = {Network::kIwarp, Network::kIb, Network::kMxoe, Network::kMxom};
   constexpr std::uint32_t kProbeMsg = 65536;  // present in both sweep variants
   std::printf("=== Figure 4: MPI bandwidth, three modes (paper Sec. 6.2) ===\n");
 
   const auto sizes = pow2_sizes(quick ? 4096 : 256, quick ? 1 << 20 : 4 << 20);
 
-  Report report("fig4_mpi_bandwidth");
+  Report report(quick ? "fig4_mpi_bandwidth_quick" : "fig4_mpi_bandwidth");
   report.add_note("MPI bandwidth: unidirectional, bidirectional, both-way");
   report.add_note("probe: per-window unidirectional latency histogram + metrics at msg=64KB");
 
@@ -48,7 +54,6 @@ int main(int argc, char**) {
   uni.print();
   bidi.print();
   both.print();
-  uni.print_csv();
 
   report.add_table(uni);
   report.add_table(bidi);

@@ -4,6 +4,7 @@
 // engine's measured per-phase time attribution (host / NIC / wire),
 // rather than from the protocol-level timing probes.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/report.hpp"
@@ -12,13 +13,18 @@
 using namespace fabsim;
 using namespace fabsim::core;
 
-int main(int argc, char**) {
-  const bool quick = argc > 1;
+int main(int argc, char** argv) {
+  // quick: a reduced sweep, reported as <name>_quick beside the full run.
+  const bool quick = argc == 2 && std::string(argv[1]) == "quick";
+  if (argc > 1 && !quick) {
+    std::fprintf(stderr, "usage: %s [quick]\n", argv[0]);
+    return 2;
+  }
   const auto networks = {Network::kIwarp, Network::kIb, Network::kMxoe, Network::kMxom};
   constexpr std::uint32_t kProbeMsg = 1024;
   std::printf("=== Figure 5: LogP parameters (paper Sec. 6.3) ===\n");
 
-  Report report("fig5_logp");
+  Report report(quick ? "fig5_logp_quick" : "fig5_logp");
   report.add_note("LogP g/Os/Or via Kielmann's method, all four MPI stacks");
   report.add_note("probe: Os/Or call-duration histograms + metrics at msg=1024B");
   report.add_note("breakdown tables: measured per-phase attribution (FabricScope), not closed form");

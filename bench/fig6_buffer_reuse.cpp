@@ -3,6 +3,7 @@
 // the ratio of no-re-use (cycle all 16) latency over full-re-use (always
 // the same buffer) latency.
 #include <cstdio>
+#include <string>
 
 #include "core/report.hpp"
 #include "core/runners.hpp"
@@ -10,13 +11,18 @@
 using namespace fabsim;
 using namespace fabsim::core;
 
-int main(int argc, char**) {
-  const bool quick = argc > 1;
+int main(int argc, char** argv) {
+  // quick: a reduced sweep, reported as <name>_quick beside the full run.
+  const bool quick = argc == 2 && std::string(argv[1]) == "quick";
+  if (argc > 1 && !quick) {
+    std::fprintf(stderr, "usage: %s [quick]\n", argv[0]);
+    return 2;
+  }
   const auto networks = {Network::kIwarp, Network::kIb, Network::kMxoe, Network::kMxom};
   constexpr std::uint32_t kProbeMsg = 4096;
   std::printf("=== Figure 6: buffer re-use effect (paper Sec. 6.4) ===\n");
 
-  Report report("fig6_buffer_reuse");
+  Report report(quick ? "fig6_buffer_reuse_quick" : "fig6_buffer_reuse");
   report.add_note("buffer re-use effect: no-reuse/full-reuse latency ratio");
   report.add_note("probe: cold (no-reuse) and warm half-RTT histograms + metrics at msg=4KB");
 
@@ -45,7 +51,6 @@ int main(int argc, char**) {
     ratio.add_row(msg, std::move(row));
   }
   ratio.print();
-  ratio.print_csv();
 
   report.add_table(ratio);
   report.write();

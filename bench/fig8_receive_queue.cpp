@@ -3,6 +3,7 @@
 // ping-pong message must traverse them before reaching its own receive.
 // Reported: ratio of loaded-queue latency to empty-queue latency.
 #include <cstdio>
+#include <string>
 
 #include "core/report.hpp"
 #include "core/runners.hpp"
@@ -10,8 +11,13 @@
 using namespace fabsim;
 using namespace fabsim::core;
 
-int main(int argc, char**) {
-  const bool quick = argc > 1;
+int main(int argc, char** argv) {
+  // quick: a reduced sweep, reported as <name>_quick beside the full run.
+  const bool quick = argc == 2 && std::string(argv[1]) == "quick";
+  if (argc > 1 && !quick) {
+    std::fprintf(stderr, "usage: %s [quick]\n", argv[0]);
+    return 2;
+  }
   const auto networks = {Network::kIwarp, Network::kIb, Network::kMxoe, Network::kMxom};
   std::printf("=== Figure 8: receive-queue effect (paper Sec. 6.5.2) ===\n");
 
@@ -21,7 +27,7 @@ int main(int argc, char**) {
   constexpr std::uint32_t kProbeMsg = 1024;
   constexpr int kProbeDepth = 256;
 
-  Report report("fig8_receive_queue");
+  Report report(quick ? "fig8_receive_queue_quick" : "fig8_receive_queue");
   report.add_note("receive (posted) queue effect: loaded/empty latency ratio");
   report.add_note("probe: loaded half-RTT histogram + metrics at msg=1024B depth=256");
 

@@ -22,47 +22,45 @@ fi
 # scenario three times from the same seed and exits non-zero unless all
 # three sim.digests are identical, so chaos failover (LFT reroute,
 # drain/requeue, retry exhaustion) is part of the determinism contract.
-benches=(fig3_mpi_latency ext_faults ext_incast ext_chaos)
+#
+# Each entry is a bench and its argument. A quick sweep reports as
+# <bench>_quick; fig3_mpi_latency has a single sweep and reports under
+# its own name.
+runs=("fig3_mpi_latency" "ext_faults quick" "ext_incast quick" "ext_chaos quick")
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
 for round in 1 2; do
   mkdir -p "$scratch/run$round/results"
-  for bench in "${benches[@]}"; do
-    echo "== round $round: $bench =="
-    (cd "$scratch/run$round" && "$OLDPWD/$build/bench/$bench" quick >/dev/null)
+  for run in "${runs[@]}"; do
+    echo "== round $round: $run =="
+    # shellcheck disable=SC2086  # $run is the bench plus its argument
+    (cd "$scratch/run$round" && "$OLDPWD/$build/bench/"$run >/dev/null)
   done
 done
 
-# Benches may name their quick-mode report "<bench>_quick" to keep it
-# distinct from the full sweep's artifacts.
-report_of() {
-  if [[ -f "$scratch/run1/results/$1.json" ]]; then echo "$1"; else echo "$1_quick"; fi
-}
-
 status=0
-for bench in "${benches[@]}"; do
-  report="$(report_of "$bench")"
-  for ext in json csv; do
-    a="$scratch/run1/results/$report.$ext"
-    b="$scratch/run2/results/$report.$ext"
-    if ! diff -q "$a" "$b" >/dev/null; then
-      echo "NON-DETERMINISTIC: $bench.$ext differs between identical runs" >&2
-      diff "$a" "$b" | head -20 >&2 || true
-      status=1
-    fi
-  done
-  digests=$(python3 - "$scratch/run1/results/$report.json" <<'EOF'
+for run in "${runs[@]}"; do
+  read -r bench mode <<<"$run"
+  report="$bench${mode:+_$mode}"
+  a="$scratch/run1/results/$report.json"
+  b="$scratch/run2/results/$report.json"
+  if ! diff -q "$a" "$b" >/dev/null; then
+    echo "NON-DETERMINISTIC: $report.json differs between identical runs" >&2
+    diff "$a" "$b" | head -20 >&2 || true
+    status=1
+  fi
+  digests=$(python3 - "$a" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 print(sum(1 for k in doc.get("metrics", {}) if k.endswith("sim.digest")))
 EOF
 )
   if [[ "$digests" -lt 1 ]]; then
-    echo "MISSING: $bench.json carries no sim.digest metric" >&2
+    echo "MISSING: $report.json carries no sim.digest metric" >&2
     status=1
   else
-    echo "$bench: $digests digest(s) identical across runs"
+    echo "$report: $digests digest(s) identical across runs"
   fi
 done
 

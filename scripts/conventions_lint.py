@@ -72,6 +72,8 @@ import os
 import re
 import sys
 
+from cxxscan import POST_CALL, source_files
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
@@ -82,7 +84,6 @@ WALL_CLOCK = re.compile(
 NAKED_NEW = re.compile(r"(?<![\w_])new\s+[A-Za-z_(]")
 RAND = re.compile(r"(?<![\w_])s?rand\s*\(|random_shuffle")
 INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
-POST_CALL = re.compile(r"(?:->|\.)\s*post\s*\(")  # post_resume etc. do not match
 REF_CAPTURE = re.compile(r"\[\s*&\s*[\],]")  # [&] or [&, x] default captures only
 UNORDERED_DECL = re.compile(r"std::unordered_(?:map|set)\b[^;{=]*?[\s>](\w+)\s*[;{=]")
 RANGE_FOR = re.compile(r"for\s*\([^;)]*:\s*(?:this->)?(\w+)\s*\)")
@@ -156,18 +157,6 @@ def strip_comments(line):
     return re.sub(r'"(?:[^"\\]|\\.)*"', '""', line)  # string literals too
 
 
-def source_files(top, exts):
-    for dirpath, dirnames, names in os.walk(top):
-        dirnames.sort()
-        # Fixture trees are deliberately dirty; skip them unless they ARE
-        # the scan root (the self-tests point --root at one).
-        if "lint_fixtures" in os.path.relpath(dirpath, top).split(os.sep):
-            continue
-        for name in sorted(names):
-            if os.path.splitext(name)[1] in exts:
-                yield os.path.join(dirpath, name)
-
-
 def lint():
     problems = []
 
@@ -179,7 +168,7 @@ def lint():
     header_roots = [SRC, os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench"),
                     os.path.join(ROOT, "examples")]
     for top in header_roots:
-        for path in source_files(top, {".hpp", ".h", ".cpp"}):
+        for path in source_files(top):
             with open(path, encoding="utf-8") as f:
                 lines = f.readlines()
             if path.endswith((".hpp", ".h")):
@@ -201,7 +190,7 @@ def lint():
     # sites usually live in the .cpp while the member lives in the .hpp,
     # so the name set is collected tree-wide first.
     unordered_names = set()
-    for path in source_files(SRC, {".hpp", ".h", ".cpp"}):
+    for path in source_files(SRC):
         with open(path, encoding="utf-8") as f:
             for raw in f:
                 m = UNORDERED_DECL.search(strip_comments(raw))
@@ -209,7 +198,7 @@ def lint():
                     unordered_names.add(m.group(1))
 
     # Behavioural bans: src/ only (tests may legitimately poke the host).
-    for path in source_files(SRC, {".hpp", ".h", ".cpp"}):
+    for path in source_files(SRC):
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
         global_state_pass(path, lines, flag)

@@ -54,11 +54,11 @@ if [[ "$check" == 1 ]]; then
   ctest --test-dir build-check --output-on-failure
   bench_dir=build-check/bench
 
-  # FabricScope-Check static gate (mirrors the runtime ScopeAuditor the
-  # FABSIM_CHECK build just exercised): the analyzer must run clean on
-  # the annotated tree, and must still catch the deliberately mislabeled
-  # seam when reading its mutated arm — a gate that cannot fail gates
-  # nothing.
+  # FabricScope-Check static gate (mirrors the monitor's runtime scope
+  # audit the FABSIM_CHECK build just exercised): the analyzer must run
+  # clean on the annotated tree, and must still catch the deliberately
+  # mislabeled seam when reading its mutated arm — a gate that cannot
+  # fail gates nothing.
   echo "=== scope_check (gating) ==="
   python3 scripts/scope_check.py
   if python3 scripts/scope_check.py --mutation --out - >/dev/null 2>&1; then
@@ -66,10 +66,11 @@ if [[ "$check" == 1 ]]; then
     exit 1
   fi
 
-  # FabricHot-Check static gate (mirrors the runtime HotpathAuditor the
-  # FABSIM_CHECK build just exercised): dispatch-path purity must hold
-  # on the annotated tree, and the deliberately allocating seam in
-  # Engine::dispatch must be caught when read on its armed arm.
+  # FabricHot-Check static gate (mirrors the monitor's runtime
+  # allocation budget the FABSIM_CHECK build just exercised):
+  # dispatch-path purity must hold on the annotated tree, and the
+  # deliberately allocating seam in Engine::dispatch must be caught when
+  # read on its armed arm.
   echo "=== hotpath_check (gating) ==="
   python3 scripts/hotpath_check.py
   if python3 scripts/hotpath_check.py --mutation --out - >/dev/null 2>&1; then
@@ -83,11 +84,11 @@ for b in "$bench_dir"/*; do
   [[ -f "$b" && -x "$b" ]] || continue  # skip CMakeFiles/ and cmake litter
   name="$(basename "$b")"
   echo "=== $name ==="
-  # Benches write their own results/<name>.{txt,csv,json} via the Report
+  # Benches write their own results/<name>.{txt,json} via the Report
   # helper, so tee into a temp file and only install the captured stdout
   # as .txt for binaries (e.g. micro_simcore) that don't self-report —
   # teeing straight onto results/<name>.txt would clobber the report.
-  rm -f "results/$name.txt" "results/$name.csv" "results/$name.json"
+  rm -f "results/$name.txt" "results/$name.json"
   tmp="$(mktemp)"
   "$b" | tee "$tmp"
   if [[ -f "results/$name.txt" ]]; then

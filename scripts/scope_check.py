@@ -45,8 +45,8 @@ Pass C - capture classification. For each confinement-claiming site,
 Pass D - dynamic corroboration. Every class whose `this` lands in a
     confined-scope lambda must have a FABSIM_AUDIT_OWNED trap in its
     implementation, and every FABSIM_SHARED class captured anywhere
-    must have a FABSIM_AUDIT_SHARED trap, so the ScopeAuditor
-    cross-checks each static verdict on real traffic under FABSIM_CHECK.
+    must have a FABSIM_AUDIT_SHARED trap, so an attached InvariantMonitor
+    cross-checks each static verdict on real traffic.
 
 Artifacts: results/scope_report.json (per-site records + summary).
 Exit status: 0 clean, 1 violations found (or, with --expect-violations,
@@ -58,80 +58,13 @@ import os
 import re
 import sys
 
+from cxxscan import (POST_CALL, ClassSpan, SourceFile, collect_classes, find_decl_type,
+                     innermost_class, line_of, matching, source_files, split_top_level)
+
 DEFAULT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-MARKER = re.compile(
-    r"FABSIM_OWNED_BY\s*\(|FABSIM_SHARED\s*;|FABSIM_ENGINE_LOCAL\s*;"
-)
-POST_CALL = re.compile(r"(?:->|\.)\s*post\s*\(")  # post_resume does not match
-CLASS_DEF = re.compile(r"\b(class|struct)\s+([A-Za-z_]\w*)\b")
 SCOPE_OK = re.compile(r"SCOPE-OK\(([^)\n]*)\)")
 MOVE_INIT = re.compile(r"^\s*[A-Za-z_]\w*\s*=\s*std::move\s*\(")
-METHOD_DEF = re.compile(r"([A-Za-z_]\w*)\s*::\s*~?[A-Za-z_]\w*\s*\($")
-
-OPEN_OF = {")": "(", "]": "[", "}": "{"}
-
-
-def mask_comments_and_strings(text):
-    """Replace comments and string/char literals with spaces (offsets kept)."""
-    out = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            for k in range(i, j):
-                out[k] = " "
-            i = j
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            j = n - 2 if j < 0 else j
-            for k in range(i, j + 2):
-                if out[k] != "\n":
-                    out[k] = " "
-            i = j + 2
-        elif c in "\"'":
-            quote = c
-            j = i + 1
-            while j < n and text[j] != quote:
-                j += 2 if text[j] == "\\" else 1
-            for k in range(i, min(j + 1, n)):
-                if out[k] != "\n":
-                    out[k] = " "
-            i = j + 1
-        else:
-            i += 1
-    return "".join(out)
-
-
-def matching(masked, start, open_ch, close_ch):
-    """Offset of the close matching masked[start] == open_ch, or -1."""
-    depth = 0
-    for i in range(start, len(masked)):
-        c = masked[i]
-        if c == open_ch:
-            depth += 1
-        elif c == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
-
-def split_top_level(masked_text):
-    """Split on commas at bracket depth zero; returns (start, end) spans."""
-    spans, depth, begin = [], 0, 0
-    for i, c in enumerate(masked_text):
-        if c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-        elif c == "," and depth == 0:
-            spans.append((begin, i))
-            begin = i + 1
-    spans.append((begin, len(masked_text)))
-    return spans
 
 
 def normalize_expr(raw_text):
@@ -141,38 +74,9 @@ def normalize_expr(raw_text):
     return re.sub(r"\s+", "", no_line)
 
 
-def line_of(text, offset):
-    return text.count("\n", 0, offset) + 1
-
-
-def source_files(top, exts=(".hpp", ".h", ".cpp")):
-    for dirpath, dirnames, names in os.walk(top):
-        dirnames.sort()
-        # Fixture trees are deliberately dirty; skip them unless they ARE
-        # the scan root (the self-tests point --root at one).
-        if "lint_fixtures" in os.path.relpath(dirpath, top).split(os.sep):
-            continue
-        for name in sorted(names):
-            if os.path.splitext(name)[1] in exts:
-                yield os.path.join(dirpath, name)
-
-
-class SourceFile:
-    def __init__(self, path, root):
-        self.path = path
-        self.rel = os.path.relpath(path, root)
-        with open(path, encoding="utf-8") as f:
-            self.raw = f.read()
-        self.masked = mask_comments_and_strings(self.raw)
-        self.lines = self.raw.splitlines()
-
-
-class ClassInfo:
+class ClassInfo(ClassSpan):
     def __init__(self, name, src, start, end):
-        self.name = name
-        self.src = src
-        self.start = start  # offset of the class body's '{'
-        self.end = end
+        super().__init__(name, src, start, end)
         self.owners = []        # FABSIM_OWNED_BY expressions, in order
         self.shared = False
         self.engine_local = False
@@ -180,38 +84,6 @@ class ClassInfo:
     @property
     def annotated(self):
         return bool(self.owners) or self.shared or self.engine_local
-
-
-def collect_classes(src):
-    """Class/struct definitions with body offsets, innermost-resolvable."""
-    classes = []
-    for m in CLASS_DEF.finditer(src.masked):
-        # Walk to the first of '{' or ';' after the head; ';' means a
-        # forward declaration (or data member like `class X* p;`).
-        i = m.end()
-        while i < len(src.masked) and src.masked[i] not in "{;":
-            # A '(' before the brace means this was `struct tm buf(...)`
-            # or similar expression context - not a definition.
-            if src.masked[i] == "(":
-                i = -1
-                break
-            i += 1
-        if i < 0 or i >= len(src.masked) or src.masked[i] != "{":
-            continue
-        end = matching(src.masked, i, "{", "}")
-        if end < 0:
-            continue
-        classes.append(ClassInfo(m.group(2), src, i, end))
-    return classes
-
-
-def innermost_class(classes, offset):
-    best = None
-    for c in classes:
-        if c.start < offset < c.end:
-            if best is None or c.start > best.start:
-                best = c
-    return best
 
 
 def collect_markers(src, classes, problems):
@@ -259,22 +131,6 @@ def enclosing_function(src, offset):
                 not head.rstrip().endswith(";"):
             return None, "\n".join(lines[i:])
     return None, upto
-
-
-# Declaration of `name` as a typed local/parameter. The type group is
-# deliberately loose; only its *s and &s matter for classification.
-def find_decl_type(function_text, name):
-    decl = re.compile(
-        r"(?:^|[(,;{]|\bconst\s)\s*"
-        r"((?:const\s+)?[A-Za-z_][\w:]*(?:<[^;{}]*?>)?(?:\s*const)?[\s*&]+)"
-        rf"{re.escape(name)}\s*(?:=|;|,|\)|\{{|\[)", re.M)
-    last = None
-    for m in decl.finditer(function_text):
-        type_text = m.group(1)
-        if type_text.split()[0] in ("return", "delete", "new", "case", "goto", "else"):
-            continue
-        last = type_text
-    return last
 
 
 def classify_capture(cap_raw, function_text, class_info):
@@ -334,16 +190,7 @@ def classify_this(class_info, scope_norm):
 def parse_mutation_scope(scope_norm, mutation):
     """FABSIM_MUTATION_SCOPE(clean, mutated, armed) -> selected arm."""
     inner = scope_norm[len("FABSIM_MUTATION_SCOPE("):-1]
-    args, depth, begin = [], 0, 0
-    for i, c in enumerate(inner):
-        if c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-        elif c == "," and depth == 0:
-            args.append(inner[begin:i])
-            begin = i + 1
-    args.append(inner[begin:])
+    args = [inner[begin:end] for begin, end in split_top_level(inner)]
     if len(args) != 3:
         return None
     return args[1] if mutation else args[0]
@@ -360,7 +207,7 @@ def analyze(root, mutation):
             continue  # the marker definitions themselves
         src = SourceFile(path, root)
         sources.append(src)
-        file_classes = collect_classes(src)
+        file_classes = collect_classes(src, ClassInfo)
         collect_markers(src, file_classes, problems)
         for cls in file_classes:
             classes_by_name.setdefault(cls.name, []).append(cls)
@@ -484,13 +331,13 @@ def analyze(root, mutation):
             problems.append((cls.src.rel, line_of(cls.src.raw, cls.start),
                              "missing_dynamic_trap",
                              f"{name} is captured into confined-scope events but has no "
-                             "FABSIM_AUDIT_OWNED trap for the ScopeAuditor to corroborate"))
+                             "FABSIM_AUDIT_OWNED trap for the monitor's scope audit to corroborate"))
     for name, cls in sorted(shared_captured.items()):
         if not has_trap(cls, "FABSIM_AUDIT_SHARED"):
             problems.append((cls.src.rel, line_of(cls.src.raw, cls.start),
                              "missing_dynamic_trap",
                              f"{name} holds FABSIM_SHARED state but has no "
-                             "FABSIM_AUDIT_SHARED trap for the ScopeAuditor to corroborate"))
+                             "FABSIM_AUDIT_SHARED trap for the monitor's scope audit to corroborate"))
 
     all_classes = [c for lst in classes_by_name.values() for c in lst]
     report = {

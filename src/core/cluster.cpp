@@ -41,16 +41,6 @@ check::InvariantMonitor& Cluster::enable_checks(bool fatal) {
   if (owned_monitor_ == nullptr) {
     owned_monitor_ = std::make_unique<check::InvariantMonitor>(fatal);
     attach_monitor(*owned_monitor_);
-    // Dynamic half of FabricScope-Check: every checked run corroborates
-    // the static scope_check.py verdicts. Violations flow through the
-    // monitor, so fatal/counting behaviour matches the other audits.
-    owned_auditor_ = std::make_unique<scope::ScopeAuditor>(owned_monitor_.get());
-    attach_scope_auditor(*owned_auditor_);
-    // Dynamic half of FabricHot-Check: corroborate the static
-    // hotpath_check.py verdicts — zero tracked allocations per
-    // dispatched event (amortized queue growth excused) on live traffic.
-    owned_hot_auditor_ = std::make_unique<hot::HotpathAuditor>(owned_monitor_.get());
-    attach_hotpath_auditor(*owned_hot_auditor_);
   }
   return *owned_monitor_;
 }
@@ -149,7 +139,10 @@ void Cluster::collect_metrics(MetricRegistry& registry) {
 
   // FabricCheck: violation totals, plus one counter per (layer, rule).
   // Tallied into a local map first so repeated collect_metrics calls
-  // overwrite rather than accumulate.
+  // overwrite rather than accumulate. Then the coverage of the scope
+  // audit and the allocation budget: zero checks with a monitor attached
+  // means the traps or the dispatch bracket never ran — as suspicious as
+  // a violation.
   if (const check::InvariantMonitor* m = engine_.monitor()) {
     registry.counter("check.violations").set(m->violation_count());
     std::map<std::string, std::uint64_t> by_rule;
@@ -157,21 +150,10 @@ void Cluster::collect_metrics(MetricRegistry& registry) {
       ++by_rule[std::string("check.") + check::layer_name(v.layer) + "." + v.rule];
     }
     for (const auto& [name, count] : by_rule) registry.counter(name).set(count);
-  }
-
-  // FabricScope-Check: dynamic scope-audit coverage, when attached. A
-  // zero scope.checks with the auditor on means the traps never ran —
-  // as suspicious as a violation for the parallel-engine gate.
-  if (const scope::ScopeAuditor* auditor = engine_.scope_auditor()) {
-    registry.counter("scope.checks").set(auditor->checks());
-    registry.counter("scope.violations").set(auditor->violations());
-  }
-
-  // FabricHot-Check: dynamic allocation-budget coverage, when attached —
-  // same zero-checks-is-suspicious logic as the scope auditor.
-  if (const hot::HotpathAuditor* auditor = engine_.hotpath_auditor()) {
-    registry.counter("hot.checks").set(auditor->checks());
-    registry.counter("hot.violations").set(auditor->violations());
+    registry.counter("scope.checks").set(m->scope_checks());
+    registry.counter("scope.violations").set(m->scope_violations());
+    registry.counter("hot.checks").set(m->hot_checks());
+    registry.counter("hot.violations").set(m->hot_violations());
   }
 
   // Fabric: per-switch, per-port serialization busy time -> utilization,

@@ -82,30 +82,14 @@ class Cluster {
 
   /// Convenience: build and attach an owned monitor (counting mode by
   /// default so production runs survive a violation; the records and
-  /// check.* counters still surface it). Also builds and attaches an
-  /// owned ScopeAuditor wired to the monitor, so every FABSIM_CHECK bench
-  /// cross-checks the static scope_check.py verdicts on live traffic.
-  /// Builds configured with -DFABSIM_CHECK=ON call this from the
-  /// constructor.
+  /// check.* counters still surface it). Like any attached monitor it
+  /// also runs the scope audit and the allocation budget, so every
+  /// FABSIM_CHECK bench cross-checks the static scope_check.py and
+  /// hotpath_check.py verdicts on live traffic. Builds configured with
+  /// -DFABSIM_CHECK=ON call this from the constructor.
   check::InvariantMonitor& enable_checks(bool fatal = false);
 
-  /// FabricScope-Check: attach a caller-owned runtime scope auditor. The
-  /// engine brackets every dispatched event with its scope label and the
-  /// annotated stacks trap mismatched-state access (src/sim/scope.hpp).
-  void attach_scope_auditor(scope::ScopeAuditor& auditor) {
-    engine_.set_scope_auditor(&auditor);
-  }
-
-  /// FabricHot-Check: attach a caller-owned runtime hot-path auditor. The
-  /// engine brackets every dispatched event and traps tracked allocation
-  /// over the per-event budget (src/sim/hot.hpp).
-  void attach_hotpath_auditor(hot::HotpathAuditor& auditor) {
-    engine_.set_hotpath_auditor(&auditor);
-  }
-
   check::InvariantMonitor* monitor() { return engine_.monitor(); }
-  scope::ScopeAuditor* scope_auditor() { return engine_.scope_auditor(); }
-  hot::HotpathAuditor* hotpath_auditor() { return engine_.hotpath_auditor(); }
 
  private:
   NetworkProfile profile_;
@@ -120,8 +104,6 @@ class Cluster {
   bool mpi_ready_ = false;
   std::unique_ptr<Event> mpi_ready_event_;
   std::unique_ptr<check::InvariantMonitor> owned_monitor_;
-  std::unique_ptr<scope::ScopeAuditor> owned_auditor_;
-  std::unique_ptr<hot::HotpathAuditor> owned_hot_auditor_;
 };
 
 }  // namespace fabsim::core

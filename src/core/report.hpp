@@ -1,11 +1,11 @@
-// Fixed-width table / CSV / JSON reporting for benchmark binaries.
+// Fixed-width table / JSON reporting for benchmark binaries.
 //
 // Every bench builds one Report, fills it with tables (the figure
 // series), latency histograms (exact percentiles), named scalars, and a
 // MetricRegistry snapshot, then calls print() for stdout and
-// write("results") to persist <name>.txt, <name>.csv and <name>.json
-// side by side. The JSON is emitted by hand (no dependency) and round-
-// trips through sim/json.hpp's validator in the test suite.
+// write("results") to persist <name>.txt and <name>.json side by side.
+// The JSON is emitted by hand (no dependency) and round-trips through
+// sim/json.hpp's validator in the test suite.
 #pragma once
 
 #include <cmath>
@@ -54,21 +54,6 @@ class Table {
     }
   }
 
-  void print_csv(std::FILE* out = stdout) const {
-    std::fprintf(out, "# csv: %s\n%s", title_.c_str(), x_label_.c_str());
-    for (const std::string& s : series_) std::fprintf(out, ",%s", s.c_str());
-    std::fprintf(out, "\n");
-    for (const Row& row : rows_) {
-      if (row.x != std::floor(row.x)) {
-        std::fprintf(out, "%g", row.x);
-      } else {
-        std::fprintf(out, "%.0f", row.x);
-      }
-      for (double v : row.values) std::fprintf(out, ",%.4f", v);
-      std::fprintf(out, "\n");
-    }
-  }
-
  private:
   static void print_x(std::FILE* out, double x) {
     if (x >= 1 << 20 && static_cast<long long>(x) % (1 << 20) == 0) {
@@ -96,7 +81,7 @@ inline std::vector<std::uint32_t> pow2_sizes(std::uint32_t from, std::uint32_t t
 }
 
 /// End-of-run report: collects everything a bench produced and writes
-/// the three uniform artifacts results/<name>.{txt,csv,json}.
+/// the two uniform artifacts results/<name>.{txt,json}.
 class Report {
  public:
   explicit Report(std::string name) : name_(std::move(name)) {}
@@ -190,34 +175,18 @@ class Report {
     }
   }
 
-  /// Write <dir>/<name>.txt, .csv and .json. Returns false if any file
+  /// Write <dir>/<name>.txt and .json. Returns false if either file
   /// could not be opened (bench keeps going; stdout already has it all).
   bool write(const std::string& dir = "results") const {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     bool ok = true;
     ok &= write_with(dir + "/" + name_ + ".txt", [this](std::FILE* f) { print(f); });
-    ok &= write_with(dir + "/" + name_ + ".csv", [this](std::FILE* f) { write_csv(f); });
     ok &= write_with(dir + "/" + name_ + ".json", [this](std::FILE* f) {
       const std::string text = json();
       std::fwrite(text.data(), 1, text.size(), f);
     });
     return ok;
-  }
-
-  void write_csv(std::FILE* out) const {
-    for (const Table& t : tables_) t.print_csv(out);
-    for (const Scalar& s : scalars_) {
-      std::fprintf(out, "scalar,%s,%.6f,%s\n", s.key.c_str(), s.value, s.unit.c_str());
-    }
-    for (const HistSummary& h : hists_) {
-      std::fprintf(out, "hist,%s,%llu,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n", h.key.c_str(),
-                   static_cast<unsigned long long>(h.n), h.mean, h.p50, h.p90, h.p99, h.p999,
-                   h.max);
-    }
-    for (const auto& [key, value] : metrics_) {
-      std::fprintf(out, "metric,%s,%.6f\n", key.c_str(), value);
-    }
   }
 
   /// The full report as a JSON document (parsed back by sim/json.hpp in

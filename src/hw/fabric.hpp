@@ -87,7 +87,8 @@ struct SwitchConfig {
   /// admission event with the *source node's* scope instead of -1. The
   /// admitted frame mutates shared switch queue state, so the label is a
   /// lie — scope_check.py --mutation must flag the call site statically
-  /// and the ScopeAuditor must trap Switch::admit dynamically.
+  /// and an attached monitor's scope audit must trap Switch::admit
+  /// dynamically.
   bool mutation_mislabel_wire_scope = false;
 };
 

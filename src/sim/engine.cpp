@@ -1,6 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -29,10 +28,9 @@ Engine::~Engine() {
   for (void* address : drivers_) {  // NOLINT(unordered-iteration)
     std::coroutine_handle<>::from_address(address).destroy();
   }
-  // Dying with a profiler or hot auditor attached must not leave the
-  // global allocation seam armed for whatever engine comes next.
+  // Dying with a profiler attached closes its allocation window, so the
+  // profiler keeps this engine's tally and counts no later engine's.
   if (profiler_ != nullptr) profiler_->on_detach();
-  if (hot_auditor_ != nullptr) hot_auditor_->on_detach();
 }
 
 void Engine::set_profiler(Profiler* profiler) {
@@ -41,16 +39,11 @@ void Engine::set_profiler(Profiler* profiler) {
   if (profiler_ != nullptr) profiler_->on_attach();
 }
 
-void Engine::set_hotpath_auditor(hot::HotpathAuditor* auditor) {
-  if (hot_auditor_ != nullptr) hot_auditor_->on_detach();
-  hot_auditor_ = auditor;
-  if (hot_auditor_ != nullptr) hot_auditor_->on_attach();
-}
-
 FABSIM_COLD void Engine::report_past_post(Time at) {
-  monitor_->report(now_, check::Layer::kSim, -1, "time_monotone",
-                   "event posted into the past: at " + std::to_string(to_us(at)) +
-                       "us < now " + std::to_string(to_us(now_)) + "us");
+  std::string detail = "event posted into the past: at " + std::to_string(to_us(at)) +
+                       "us < now " + std::to_string(to_us(now_)) + "us";
+  if (monitor_ == nullptr) throw std::logic_error(detail);
+  monitor_->report(now_, check::Layer::kSim, -1, "time_monotone", std::move(detail));
 }
 
 void Engine::post_resume(Time at, std::coroutine_handle<> h) {
@@ -94,12 +87,6 @@ void Engine::check_exception() {
 }
 
 void Engine::account_event(Time at, std::uint64_t seq) {
-  assert(at >= now_);
-  if (monitor_ != nullptr && at < now_) {
-    monitor_->report(now_, check::Layer::kSim, -1, "time_monotone",
-                     "event dequeued behind the clock: at " + std::to_string(to_us(at)) +
-                         "us < now " + std::to_string(to_us(now_)) + "us");
-  }
   now_ = at;
   ++events_processed_;
   // FNV-1a over (at, seq): a cheap, order-sensitive fingerprint of the

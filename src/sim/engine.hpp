@@ -13,7 +13,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
@@ -22,6 +21,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "check/invariant.hpp"
 #include "sim/hot.hpp"
 #include "sim/inplace_fn.hpp"
 #include "sim/metrics.hpp"
@@ -38,10 +38,6 @@ class Engine;
 
 namespace fault {
 class FaultInjector;
-}
-
-namespace check {
-class InvariantMonitor;
 }
 
 namespace detail {
@@ -110,7 +106,9 @@ class Engine {
   /// Current simulated time.
   Time now() const { return now_; }
 
-  /// Schedule a callback at absolute time `at` (must be >= now()).
+  /// Schedule a callback at absolute time `at`. Posting before now() is
+  /// misuse and fails loudly in every build: an attached monitor reports
+  /// sim.time_monotone, and without one post() throws std::logic_error.
   /// The payload is a sim::EventFn — fixed inline storage, no heap: a
   /// capture that outgrows sim::kEventFnCapacity is a compile error at
   /// the post site, never a silent allocation on the dispatch path.
@@ -126,17 +124,16 @@ class Engine {
   /// construct-then-move chain of the by-value sim::EventFn instead of
   /// relocating it across a translation-unit boundary.
   FABSIM_HOT void post(Time at, int scope, sim::EventFn fn) {
-    assert(at >= now_ && "cannot schedule into the past");
-    if (monitor_ != nullptr && at < now_) report_past_post(at);
+    if (at < now_) report_past_post(at);
     // Amortized backing-store growth is the one allocation class the
     // zero-alloc dispatch contract permits: push() reports how many
     // tracked allocations it performed (key heap, payload slab, free-list
-    // reserve — 0 in steady state), so the hot auditor's per-event budget
+    // reserve — 0 in steady state), so the monitor's per-event budget
     // and the profiler's allocs_per_event exclude exactly those.
     const int growths = queue_.push(at, next_seq_++, scope, std::move(fn));
     if (growths > 0) {
       if (profiler_ != nullptr) profiler_->on_queue_growth(static_cast<std::uint64_t>(growths));
-      if (hot_auditor_ != nullptr) hot_auditor_->excuse_growth(static_cast<std::uint64_t>(growths));
+      if (monitor_ != nullptr) monitor_->excuse_growth(static_cast<std::uint64_t>(growths));
     }
     if (profiler_ != nullptr) profiler_->on_post(queue_.size());
   }
@@ -225,7 +222,11 @@ class Engine {
   /// Optional FabricCheck invariant monitor (null when auditing is off).
   /// Caller-owned, like the tracer. The engine itself reports event-time
   /// monotonicity and no-lost-wakeup violations; every stack reports its
-  /// own protocol invariants through the same monitor.
+  /// own protocol invariants through the same monitor. The dispatch loop
+  /// also brackets every event with it, which runs the scope audit
+  /// (FABSIM_AUDIT_* traps) and the per-event allocation budget. Never
+  /// posts or reorders events, so an attached monitor leaves run_digest()
+  /// byte-identical (pinned by tests).
   check::InvariantMonitor* monitor() { return monitor_; }
   void set_monitor(check::InvariantMonitor* monitor) { monitor_ = monitor; }
 
@@ -233,35 +234,14 @@ class Engine {
   /// off). Caller-owned, like the tracer; the dispatch loop and post()
   /// guard on this pointer, so a detached profiler costs one branch per
   /// event and the simulated timeline stays byte-identical (pinned by
-  /// tests). Attaching enables the counting-allocator seam; detaching
-  /// (or destroying the engine) disables it.
+  /// tests). Attaching opens an allocation window on the counting-
+  /// allocator tally; detaching (or destroying the engine) closes it.
   Profiler* profiler() { return profiler_; }
   void set_profiler(Profiler* profiler);
 
-  /// Optional FabricScope-Check runtime auditor (null when auditing is
-  /// off). Caller-owned, like the tracer. The dispatch loop brackets
-  /// every event with the scope label it was posted under; annotated
-  /// state entry points (FABSIM_AUDIT_OWNED / FABSIM_AUDIT_SHARED) trap
-  /// accesses whose ownership contradicts that label. Never posts or
-  /// reorders events, so an attached auditor leaves run_digest()
-  /// byte-identical (pinned by tests/scope_test.cpp).
-  scope::ScopeAuditor* scope_auditor() { return scope_auditor_; }
-  void set_scope_auditor(scope::ScopeAuditor* auditor) { scope_auditor_ = auditor; }
-
-  /// Optional FabricHot-Check runtime auditor (null when auditing is
-  /// off). Caller-owned, like the tracer. The dispatch loop brackets
-  /// every event; the auditor charges tracked allocations during the
-  /// callback against a per-event budget (default 0), with the queue's
-  /// own amortized growth excused. Attaching arms the refcounted
-  /// counting-allocator seam; never posts or reorders events, so an
-  /// attached auditor leaves run_digest() byte-identical (pinned by
-  /// tests/hotpath_test.cpp).
-  hot::HotpathAuditor* hotpath_auditor() { return hot_auditor_; }
-  void set_hotpath_auditor(hot::HotpathAuditor* auditor);
-
   /// Test-only: arm the FABSIM_MUTATION_HOTALLOC seam so the dispatch
   /// path performs one deliberate tracked allocation per event — the
-  /// hot-path gate's runtime self-test (the static half is
+  /// allocation budget's runtime self-test (the static half is
   /// `hotpath_check.py --mutation`).
   void set_mutation_hotalloc(bool armed) { mutation_hotalloc_ = armed; }
 
@@ -437,29 +417,33 @@ class Engine {
   /// slab without a SchedulePolicy; via a materialized Item with one),
   /// then surface any deferred exception.
   void step();
-  /// Run one event's callback, wrapped in the profiler's sampled
-  /// host-time measurement and the hot/scope auditors' event brackets
-  /// when they are attached. This is the hot-path root: everything it
-  /// reaches is subject to the FabricHot-Check purity rules
-  /// (scripts/hotpath_check.py walks the call graph from here).
+  /// Run one event's callback inside the monitor's event bracket and the
+  /// profiler's allocation tally and sampled host-time measurement, when
+  /// they are attached; with neither, four tests and the call. This is
+  /// the hot-path root: everything it reaches is subject to the
+  /// FabricHot-Check purity rules (scripts/hotpath_check.py walks the
+  /// call graph from here).
   FABSIM_HOT void dispatch(int scope, sim::EventFn& fn) {
-    if (scope_auditor_ != nullptr) scope_auditor_->begin_event(now_, scope);
-    if (hot_auditor_ != nullptr) hot_auditor_->begin_event(now_);
-    if (profiler_ != nullptr) profiler_->begin_event_allocs();
+    if (monitor_ != nullptr) monitor_->begin_event(now_, scope);
     FABSIM_MUTATION_HOTALLOC(mutation_hotalloc_);
-    if (profiler_ != nullptr && profiler_->begin_dispatch(now_, scope)) {
+    if (profiler_ == nullptr) {
       fn();
-      profiler_->end_dispatch();
     } else {
-      fn();
+      profiler_->begin_event_allocs();
+      if (profiler_->begin_dispatch(now_, scope)) {
+        fn();
+        profiler_->end_dispatch();
+      } else {
+        fn();
+      }
+      profiler_->end_event_allocs();
     }
-    if (profiler_ != nullptr) profiler_->end_event_allocs();
-    if (hot_auditor_ != nullptr) hot_auditor_->end_event();
-    if (scope_auditor_ != nullptr) scope_auditor_->end_event();
+    if (monitor_ != nullptr) monitor_->end_event();
   }
-  /// Digest + monotonicity + bookkeeping for one popped event.
+  /// Digest + bookkeeping for one popped event.
   void account_event(Time at, std::uint64_t seq);
-  /// Misuse diagnostic for a post() into the past — out of line so the
+  /// Misuse diagnostic for a post() into the past: reports to the
+  /// monitor, or throws std::logic_error without one. Out of line so the
   /// inline post() stays free of string building.
   FABSIM_COLD void report_past_post(Time at);
   /// Monitor hooks at queue drain: lost-wakeup audit + final checks.
@@ -483,8 +467,6 @@ class Engine {
   fault::FaultInjector* fault_injector_ = nullptr;
   check::InvariantMonitor* monitor_ = nullptr;
   Profiler* profiler_ = nullptr;
-  scope::ScopeAuditor* scope_auditor_ = nullptr;
-  hot::HotpathAuditor* hot_auditor_ = nullptr;
   SchedulePolicy* policy_ = nullptr;
   bool mutation_hotalloc_ = false;
 };

@@ -1,5 +1,5 @@
-// FabricHot-Check: hot-path purity annotations + the runtime allocation
-// budget auditor.
+// FabricHot-Check: hot-path purity annotations and the allocation
+// mutation seam.
 //
 // The engine speed campaign (ROADMAP item 1) is judged in events/sec,
 // and that number is only trustworthy if the dispatch path stays *pure*:
@@ -27,29 +27,19 @@
 //     an inline `// HOT-OK(rationale)` waiver — allowed, but only with a
 //     written rationale, recorded in results/hotpath_report.json.
 //
-//  2. *Dynamic corroboration* — a HotpathAuditor attached to the Engine
-//     like the Tracer / InvariantMonitor / Profiler (caller-owned
-//     pointer, one guarded branch when detached). The dispatch loop
-//     brackets every event with begin_event/end_event; the auditor
-//     snapshots the prof::CountingAllocator global tally at entry and
-//     charges any tracked allocation during the callback against a
-//     per-event budget (default 0). The Engine excuses the amortized
-//     growth of its own event-queue storage (a doubling reallocation is
-//     the one allocation the zero-alloc contract permits) via
-//     excuse_growth(); everything else over budget is reported through
-//     the InvariantMonitor as a `hot_alloc_budget` violation, so every
-//     FABSIM_CHECK bench cross-checks the static verdicts on real
-//     traffic. Attaching the auditor never posts events or advances
-//     time: run digests stay byte-identical (pinned by
-//     tests/hotpath_test.cpp).
+//  2. *Dynamic corroboration* — the engine's InvariantMonitor
+//     (check/invariant.hpp). The dispatch loop brackets every event, and
+//     the monitor charges any prof::CountingAllocator allocation made
+//     during the callback against a budget of zero, excusing the
+//     amortized growth of the event queue's own storage. Only that queue
+//     allocates through CountingAllocator, so the budget checks the
+//     queue's growth accounting, not whole-process heap traffic. An
+//     excess is a `hot_alloc_budget` violation. The monitor never posts
+//     events or advances time: run digests stay byte-identical (pinned
+//     by tests/hotpath_test.cpp).
 #pragma once
 
-#include <cstdint>
-#include <string>
-
-#include "check/invariant.hpp"
 #include "sim/prof.hpp"
-#include "sim/time.hpp"
 
 // --- Static annotation markers (parsed by scripts/hotpath_check.py) --------
 //
@@ -61,7 +51,7 @@
 // Mutation seam for the gate's self-test: when the (runtime) `armed`
 // expression is true, performs one deliberate tracked allocation on the
 // dispatch path. scripts/hotpath_check.py ignores the dormant seam but
-// flags it as a hot allocation under --mutation, and the HotpathAuditor
+// flags it as a hot allocation under --mutation, and an attached monitor
 // traps it dynamically when armed (tests/hotpath_test.cpp) — proving the
 // gate can actually fail, both statically and at runtime.
 #define FABSIM_MUTATION_HOTALLOC(armed)                                     \
@@ -72,91 +62,3 @@
       fabsim_hotalloc_allocator_.deallocate(fabsim_hotalloc_block_, 1);     \
     }                                                                       \
   } while (0)
-
-namespace fabsim::hot {
-
-/// Runtime per-dispatch allocation budget auditor. Attach with
-/// Engine::set_hotpath_auditor(); violations are funnelled through an
-/// InvariantMonitor when one is set (counting-mode FABSIM_CHECK runs
-/// surface them as check.sim.hot_alloc_budget counters, gated by
-/// scripts/assert_clean.py); without a monitor the auditor throws
-/// check::InvariantViolationError directly.
-class HotpathAuditor {
- public:
-  explicit HotpathAuditor(check::InvariantMonitor* monitor = nullptr,
-                          std::uint64_t allocs_per_event_budget = 0)
-      : monitor_(monitor), budget_(allocs_per_event_budget) {}
-
-  void set_monitor(check::InvariantMonitor* monitor) { monitor_ = monitor; }
-
-  /// Engine attach/detach hooks: the allocation tally behind
-  /// prof::CountingAllocator is armed only while someone watches it
-  /// (refcounted, so the auditor and a Profiler can co-exist).
-  void on_attach() {
-    if (attached_) return;
-    attached_ = true;
-    prof::acquire_alloc_tracking();
-  }
-  void on_detach() {
-    if (!attached_) return;
-    attached_ = false;
-    prof::release_alloc_tracking();
-    active_ = false;
-  }
-
-  // Engine dispatch hooks.
-  void begin_event(Time at) {
-    at_ = at;
-    allocs_at_begin_ = prof::alloc_stats().allocs;
-    excused_ = 0;
-    active_ = true;
-  }
-  /// The Engine's event-queue storage is about to grow (amortized
-  /// doubling): excuse that many tracked allocations from this event's
-  /// budget — the one heap touch the zero-alloc contract permits.
-  void excuse_growth(std::uint64_t allocs) {
-    if (active_) excused_ += allocs;
-  }
-  void end_event() {
-    if (!active_) return;
-    active_ = false;
-    ++checks_;
-    const std::uint64_t delta = prof::alloc_stats().allocs - allocs_at_begin_;
-    if (delta > excused_ + budget_) {
-      violation(delta - excused_);
-    }
-  }
-
-  bool active() const { return active_; }
-  std::uint64_t budget() const { return budget_; }
-  std::uint64_t checks() const { return checks_; }
-  std::uint64_t violations() const { return violations_; }
-
- private:
-  void violation(std::uint64_t unexcused) {
-    ++violations_;
-    std::string detail = "event dispatched " + std::to_string(unexcused) +
-                         " tracked allocation(s); the hot-path budget is " +
-                         std::to_string(budget_) +
-                         " (amortized queue growth is excused separately)";
-    if (monitor_ != nullptr) {
-      monitor_->report(at_, check::Layer::kSim, -1, "hot_alloc_budget", std::move(detail));
-      return;
-    }
-    throw check::InvariantViolationError(
-        check::InvariantViolation{at_, check::Layer::kSim, -1, "hot_alloc_budget",
-                                  std::move(detail)});
-  }
-
-  check::InvariantMonitor* monitor_ = nullptr;
-  std::uint64_t budget_ = 0;
-  bool attached_ = false;
-  bool active_ = false;
-  Time at_ = 0;
-  std::uint64_t allocs_at_begin_ = 0;
-  std::uint64_t excused_ = 0;
-  std::uint64_t checks_ = 0;
-  std::uint64_t violations_ = 0;
-};
-
-}  // namespace fabsim::hot

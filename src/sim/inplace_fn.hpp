@@ -110,7 +110,10 @@ class InplaceFn {
     void (*relocate)(void* dst, void* src);
     /// Null when destruction is a no-op (trivially destructible capture).
     void (*destroy)(void*);
-    std::size_t trivial_size;  ///< memcpy length when relocate is null
+    /// memcpy length when relocate is null. 0 for a capture-less
+    /// callable: its one byte is never written, so copying it would read
+    /// uninitialized storage (which GCC rightly flags under -Werror).
+    std::size_t trivial_size;
   };
 
   template <typename Fn>
@@ -128,7 +131,7 @@ class InplaceFn {
             },
       std::is_trivially_destructible_v<Fn> ? nullptr
                                            : +[](void* p) { static_cast<Fn*>(p)->~Fn(); },
-      trivially_relocatable<Fn> ? sizeof(Fn) : 0,
+      trivially_relocatable<Fn> && !std::is_empty_v<Fn> ? sizeof(Fn) : 0,
   };
 
   /// Precondition: other.ops_ != nullptr and ops_ == other.ops_.

@@ -45,13 +45,11 @@ void Profiler::on_attach() {
   attached_ = true;
   if (epoch_ns_ == 0) epoch_ns_ = host_now_ns();  // slices stay on one axis across re-attaches
   alloc_baseline_ = prof::alloc_stats();
-  prof::acquire_alloc_tracking();
 }
 
 void Profiler::on_detach() {
   if (!attached_) return;
   fold(alloc_accum_, stats_since(alloc_baseline_));
-  prof::release_alloc_tracking();
   attached_ = false;
   in_sample_ = false;
   in_run_ = false;

@@ -23,9 +23,9 @@
 //     calendar-queue replacement must drive toward O(1) per event.
 //   * allocation churn — a counting-allocator seam (prof::
 //     CountingAllocator) that the Engine's event-queue storage runs on.
-//     Tracking is off unless a Profiler is attached; the delta since
-//     attach is published, so per-post heap traffic becomes a visible,
-//     regressable number.
+//     Its thread-local tally always counts; the Profiler publishes the
+//     delta over its attach windows, so per-post heap traffic becomes a
+//     visible, regressable number.
 //   * host-time trace lanes — the sampled dispatch slices are retained
 //     (up to Config::max_slices) and exported by the Chrome-trace
 //     writer as duration events on a dedicated "host (profiler)"
@@ -54,8 +54,8 @@ class MetricRegistry;
 
 namespace prof {
 
-/// Global allocation tally behind the counting-allocator seam. The
-/// Profiler snapshots it at attach and publishes the delta.
+/// Allocation tally behind the counting-allocator seam. The Profiler and
+/// the InvariantMonitor read deltas of it; nothing ever resets it.
 struct AllocStats {
   std::uint64_t allocs = 0;
   std::uint64_t frees = 0;
@@ -64,30 +64,21 @@ struct AllocStats {
 };
 
 namespace detail {
-// NOLINT(global-state): operator new/delete have no object to hang state
-// off — the counting-allocator seam is necessarily process-global. It is
-// host-side observability only (like the wall clock, rule 10): nothing
-// simulated reads it, so it can't couple event scopes or feed the digest.
-inline AllocStats alloc_stats_storage;   // NOLINT(global-state): see above
-inline int alloc_tracking_refs = 0;      // NOLINT(global-state): see above
+// NOLINT(global-state): an allocator has no object to hang state off, so
+// the tally lives at namespace scope. It is thread_local, so engines on
+// different threads never share it, and it is host-side observability
+// only (like the wall clock, rule 10): nothing simulated reads it, so it
+// can't couple event scopes or feed the digest.
+inline thread_local AllocStats alloc_stats_storage;  // NOLINT(global-state): see above
 }  // namespace detail
 
+/// This thread's tally.
 inline AllocStats& alloc_stats() { return detail::alloc_stats_storage; }
-inline bool alloc_tracking_enabled() { return detail::alloc_tracking_refs > 0; }
-
-/// The tracking seam is refcounted: a Profiler and a hot::HotpathAuditor
-/// each hold one reference while attached, so either can arm it without
-/// the other's detach disarming it underneath them.
-inline void acquire_alloc_tracking() { ++detail::alloc_tracking_refs; }
-inline void release_alloc_tracking() {
-  if (detail::alloc_tracking_refs > 0) --detail::alloc_tracking_refs;
-}
 
 /// std::allocator with accounting: containers on the event/continuation
 /// posting path (the Engine's queue storage) allocate through this, so
 /// heap traffic per posted event is measurable instead of folklore.
-/// Costs one branch per (rare, amortized) container growth when
-/// tracking is off.
+/// Costs a thread-local increment per (rare, amortized) container growth.
 template <typename T>
 struct CountingAllocator {
   using value_type = T;
@@ -97,19 +88,15 @@ struct CountingAllocator {
   CountingAllocator(const CountingAllocator<U>&) noexcept {}  // NOLINT(google-explicit-constructor)
 
   T* allocate(std::size_t n) {
-    if (alloc_tracking_enabled()) {
-      AllocStats& stats = alloc_stats();
-      ++stats.allocs;
-      stats.bytes_allocated += n * sizeof(T);
-    }
+    AllocStats& stats = alloc_stats();
+    ++stats.allocs;
+    stats.bytes_allocated += n * sizeof(T);
     return std::allocator<T>{}.allocate(n);
   }
   void deallocate(T* p, std::size_t n) noexcept {
-    if (alloc_tracking_enabled()) {
-      AllocStats& stats = alloc_stats();
-      ++stats.frees;
-      stats.bytes_freed += n * sizeof(T);
-    }
+    AllocStats& stats = alloc_stats();
+    ++stats.frees;
+    stats.bytes_freed += n * sizeof(T);
     std::allocator<T>{}.deallocate(p, n);
   }
 
@@ -149,8 +136,8 @@ class Profiler {
   // here is O(1) and clock-free except the 1-in-stride sampled pair
   // begin_dispatch(true) / end_dispatch().
 
-  void on_attach();  ///< host epoch + allocation baseline; enables alloc tracking
-  void on_detach();  ///< disables alloc tracking
+  void on_attach();  ///< host epoch + allocation baseline; opens an alloc window
+  void on_detach();  ///< folds the open alloc window into the totals
 
   /// A new event entered the queue (depth after the push).
   void on_post(std::size_t depth_after) {
@@ -233,7 +220,7 @@ class Profiler {
   std::uint64_t slices_dropped() const { return slices_dropped_; }
 
   /// Allocation tally across every attach window so far (tracked
-  /// containers only; the global seam is off while detached).
+  /// containers only; traffic while detached is not counted).
   prof::AllocStats alloc_delta() const;
 
   std::uint64_t queue_growths() const { return queue_growths_; }

@@ -1,4 +1,4 @@
-// FabricScope-Check: scope/ownership annotations + the runtime ScopeAuditor.
+// FabricScope-Check: scope/ownership annotations and the access traps.
 //
 // The Engine's `post(at, scope, fn)` scope labels are the foundation the
 // parallel engine (ROADMAP item 3) will stand on: `ready_events_commute`
@@ -32,28 +32,18 @@
 //                              pointers, configs, peer tables fixed at
 //                              build time); safe to read from any scope.
 //
-//  2. *Dynamic corroboration* — a ScopeAuditor attached to the Engine the
-//     same way the Tracer / InvariantMonitor / Profiler are (caller-owned
-//     pointer, one guarded branch when detached). The dispatch loop tells
-//     it the scope label of the event being dispatched; annotated state
-//     entry points call the FABSIM_AUDIT_OWNED / FABSIM_AUDIT_SHARED trap
-//     macros, and an access whose owner does not match the dispatching
-//     event's claimed scope is reported as a FabricCheck violation
-//     (`sim.scope_confinement` / `sim.scope_shared_state` family rules).
-//     Every FABSIM_CHECK bench and the chaos soak thereby cross-check the
-//     static verdicts on real traffic.
-//
-// The auditor never posts events and never advances time: attaching one
-// leaves the simulated timeline byte-identical (pinned by
-// tests/scope_test.cpp), exactly like the InvariantMonitor.
+//  2. *Dynamic corroboration* — the engine's InvariantMonitor
+//     (check/invariant.hpp). The dispatch loop tells it the scope label of
+//     the event being dispatched; annotated state entry points call the
+//     FABSIM_AUDIT_OWNED / FABSIM_AUDIT_SHARED trap macros below, and an
+//     access whose owner does not match the dispatching event's claimed
+//     scope is reported as `sim.scope_confinement` /
+//     `sim.scope_shared_state`. Any attached monitor runs the traps, so
+//     every FABSIM_CHECK bench, the chaos soak and FabricExplore
+//     cross-check the static verdicts on real traffic.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
 #include "check/invariant.hpp"
-#include "sim/time.hpp"
 
 // --- Static annotation markers (parsed by scripts/scope_check.py) ----------
 //
@@ -72,105 +62,22 @@
 // shipped schedule stays untouched.
 #define FABSIM_MUTATION_SCOPE(clean, mutated, armed) ((armed) ? (mutated) : (clean))
 
-namespace fabsim::scope {
-
-/// Runtime scope auditor. Attach with Engine::set_scope_auditor(); the
-/// dispatch loop brackets every event with begin_event/end_event, and the
-/// FABSIM_AUDIT_* traps below consult current_scope(). Violations are
-/// funnelled through an InvariantMonitor when one is set (so counting-mode
-/// FABSIM_CHECK runs surface them as check.sim.scope_* counters and the
-/// assert_clean.py gate catches them); without a monitor the auditor is
-/// fatal and throws check::InvariantViolationError directly.
-class ScopeAuditor {
- public:
-  explicit ScopeAuditor(check::InvariantMonitor* monitor = nullptr) : monitor_(monitor) {}
-
-  void set_monitor(check::InvariantMonitor* monitor) { monitor_ = monitor; }
-
-  /// True while an event is being dispatched (traps are no-ops outside
-  /// dispatch: spawn()'s run-to-first-suspension happens in caller
-  /// context, where no scope label exists to check against).
-  bool active() const { return active_; }
-
-  /// Scope label of the currently-dispatching event (-1 = unconfined).
-  int current_scope() const { return current_scope_; }
-
-  // Engine dispatch hooks.
-  void begin_event(Time at, int event_scope) {
-    at_ = at;
-    current_scope_ = event_scope;
-    active_ = true;
-  }
-  void end_event() {
-    active_ = false;
-    current_scope_ = -1;
-  }
-
-  /// Trap: state owned by `owner_node` is being touched. Legal from an
-  /// event labelled with that node's scope or with -1 (no claim).
-  void owned_access(check::Layer layer, int owner_node, const char* what) {
-    if (!active_) return;
-    ++checks_;
-    if (current_scope_ >= 0 && owner_node >= 0 && current_scope_ != owner_node) {
-      violation(layer, owner_node, "scope_confinement",
-                std::string(what) + ": state owned by node " + std::to_string(owner_node) +
-                    " touched by an event labelled scope " + std::to_string(current_scope_));
-    }
-  }
-
-  /// Trap: cross-node shared state is being touched. Legal only from an
-  /// event labelled -1 — a confined label claims the event cannot reach
-  /// shared state, which is exactly what DPOR reduction relies on.
-  void shared_access(check::Layer layer, int node, const char* what) {
-    if (!active_) return;
-    ++checks_;
-    if (current_scope_ >= 0) {
-      violation(layer, node, "scope_shared_state",
-                std::string(what) + ": shared state touched by an event labelled scope " +
-                    std::to_string(current_scope_) + " (shared state requires scope -1)");
-    }
-  }
-
-  std::uint64_t checks() const { return checks_; }
-  std::uint64_t violations() const { return violations_; }
-
- private:
-  void violation(check::Layer layer, int node, const char* rule, std::string detail) {
-    ++violations_;
-    if (monitor_ != nullptr) {
-      monitor_->report(at_, layer, node, rule, std::move(detail));
-      return;
-    }
-    throw check::InvariantViolationError(
-        check::InvariantViolation{at_, layer, node, rule, std::move(detail)});
-  }
-
-  check::InvariantMonitor* monitor_ = nullptr;
-  bool active_ = false;
-  int current_scope_ = -1;
-  Time at_ = 0;
-  std::uint64_t checks_ = 0;
-  std::uint64_t violations_ = 0;
-};
-
-}  // namespace fabsim::scope
-
 // --- Dynamic access traps ---------------------------------------------------
 //
 // Placed at the entry points posted continuations funnel through (deliver,
 // pump, timeout handlers, switch admission, failover). One guarded branch
-// when no auditor is attached, like every other FabricCheck hook. `eng`
+// when no monitor is attached, like every other FabricCheck hook. `eng`
 // must be an Engine (lvalue); evaluated once per macro argument use.
-#define FABSIM_AUDIT_OWNED(eng, layer, owner_node, what)                            \
-  do {                                                                              \
-    if (::fabsim::scope::ScopeAuditor* fabsim_scope_auditor_ = (eng).scope_auditor()) { \
-      fabsim_scope_auditor_->owned_access((layer), (owner_node), (what));           \
-    }                                                                               \
+#define FABSIM_AUDIT_OWNED(eng, layer, owner_node, what)                          \
+  do {                                                                            \
+    if (::fabsim::check::InvariantMonitor* fabsim_monitor_ = (eng).monitor()) {   \
+      fabsim_monitor_->owned_access((layer), (owner_node), (what));               \
+    }                                                                             \
   } while (0)
 
-#define FABSIM_AUDIT_SHARED(eng, layer, node, what)                                 \
-  do {                                                                              \
-    if (::fabsim::scope::ScopeAuditor* fabsim_scope_auditor_ = (eng).scope_auditor()) { \
-      fabsim_scope_auditor_->shared_access((layer), (node), (what));                \
-    }                                                                               \
+#define FABSIM_AUDIT_SHARED(eng, layer, node, what)                               \
+  do {                                                                            \
+    if (::fabsim::check::InvariantMonitor* fabsim_monitor_ = (eng).monitor()) {   \
+      fabsim_monitor_->shared_access((layer), (node), (what));                    \
+    }                                                                             \
   } while (0)

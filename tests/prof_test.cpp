@@ -9,11 +9,12 @@
 //     simulated results;
 //   * the prof.* counters actually populate and obey their conservation
 //     laws (pops == posts + requeues when the queue drains);
-//   * the counting-allocator seam tallies only while tracking is on and
-//     only since attach;
+//   * the counting-allocator seam tallies per thread, and the profiler
+//     publishes only its attach windows' share of it;
 //   * the Chrome-trace host lanes round-trip through minijson.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -168,25 +169,33 @@ TEST(Prof, PolicyRequeuesAreAccounted) {
 }
 
 TEST(Prof, CountingAllocatorTalliesOnlyWhileTracking) {
-  ASSERT_FALSE(prof::alloc_tracking_enabled()) << "seam must start disarmed";
   const prof::AllocStats before = prof::alloc_stats();
-  {
-    std::vector<int, prof::CountingAllocator<int>> untracked;
-    untracked.resize(1024);
-  }
-  EXPECT_EQ(prof::alloc_stats().allocs, before.allocs) << "tracking off: no tally";
-
-  prof::acquire_alloc_tracking();
   {
     std::vector<int, prof::CountingAllocator<int>> tracked;
     tracked.resize(1024);
   }
-  prof::release_alloc_tracking();
   const prof::AllocStats after = prof::alloc_stats();
   EXPECT_GT(after.allocs, before.allocs);
   EXPECT_GE(after.bytes_allocated - before.bytes_allocated, 1024 * sizeof(int));
   EXPECT_EQ(after.allocs - before.allocs, after.frees - before.frees)
       << "vector destruction returns every tracked allocation";
+}
+
+TEST(Prof, CountingAllocatorTallyIsPerThread) {
+  const prof::AllocStats before = prof::alloc_stats();
+  std::uint64_t other_thread_allocs = 0;
+  std::thread worker([&other_thread_allocs] {
+    const std::uint64_t start = prof::alloc_stats().allocs;
+    {
+      std::vector<int, prof::CountingAllocator<int>> churn;
+      churn.resize(1024);
+    }
+    other_thread_allocs = prof::alloc_stats().allocs - start;
+  });
+  worker.join();
+  EXPECT_GT(other_thread_allocs, 0u);
+  EXPECT_EQ(prof::alloc_stats().allocs, before.allocs)
+      << "another thread's allocations must not reach this thread's tally";
 }
 
 TEST(Prof, AllocDeltaCountsOnlyTheAttachWindows) {
@@ -206,7 +215,6 @@ TEST(Prof, AllocDeltaCountsOnlyTheAttachWindows) {
   const prof::AllocStats delta = profiler.alloc_delta();
   EXPECT_GT(delta.allocs, 0u) << "queue growth for 1000 posted events must be visible";
   EXPECT_GT(delta.bytes_allocated, 0u);
-  EXPECT_FALSE(prof::alloc_tracking_enabled()) << "engine death must disarm the seam";
 
   // A second attach window accumulates on top instead of rebaselining.
   {

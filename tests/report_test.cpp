@@ -88,11 +88,12 @@ TEST(Report, WriteEmitsAllThreeArtifacts) {
   std::filesystem::remove_all(dir);
   const Report report = sample_report();
   ASSERT_TRUE(report.write(dir.string()));
-  for (const char* ext : {".txt", ".csv", ".json"}) {
+  for (const char* ext : {".txt", ".json"}) {
     const auto path = dir / ("unit_report" + std::string(ext));
     EXPECT_TRUE(std::filesystem::exists(path)) << path;
     EXPECT_GT(std::filesystem::file_size(path), 0u) << path;
   }
+  EXPECT_FALSE(std::filesystem::exists(dir / "unit_report.csv")) << "the .json carries the tables";
 
   // The .txt must carry the table and the fractional x unmangled.
   std::FILE* f = std::fopen((dir / "unit_report.txt").c_str(), "rb");

@@ -1,9 +1,12 @@
-// FabricScope-Check, dynamic half (src/sim/scope.hpp): ScopeAuditor
-// semantics, the detached/attached digest-transparency pin, and the
-// mutation self-test — the deliberately mislabeled post() seam
-// (SwitchConfig::mutation_mislabel_wire_scope) must be caught by the
-// auditor on live traffic, proving the runtime gate can actually fail.
-// scripts/scope_check.py --mutation proves the same for the static half.
+// FabricScope-Check, dynamic half: the InvariantMonitor's scope audit
+// (owned_access / shared_access inside the dispatch bracket, reached
+// through the FABSIM_AUDIT_* traps of src/sim/scope.hpp), the digest-
+// transparency pin, and the mutation self-test — the deliberately
+// mislabeled post() seam (SwitchConfig::mutation_mislabel_wire_scope)
+// must be caught on live traffic, proving the runtime gate can actually
+// fail. scripts/scope_check.py --mutation proves the same for the static
+// half. The suite keeps the audit's historical name so the test IDs
+// stay stable.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,61 +16,59 @@
 #include "core/calibration.hpp"
 #include "core/cluster.hpp"
 #include "sim/engine.hpp"
-#include "sim/metrics.hpp"
-#include "sim/scope.hpp"
 #include "topo/spec.hpp"
 #include "verbs/verbs.hpp"
 
 namespace fabsim {
 namespace {
 
-// --- ScopeAuditor unit semantics -------------------------------------
+// --- Scope audit unit semantics ---------------------------------------
 
 TEST(ScopeAuditor, ConfinedEventMayOnlyTouchItsOwnNode) {
   check::InvariantMonitor monitor(/*fatal=*/false);
-  scope::ScopeAuditor auditor(&monitor);
 
-  auditor.begin_event(us(1), /*event_scope=*/2);
-  auditor.owned_access(check::Layer::kHw, /*owner_node=*/2, "own node");
-  EXPECT_EQ(auditor.violations(), 0u);
-  auditor.owned_access(check::Layer::kHw, /*owner_node=*/3, "foreign node");
-  EXPECT_EQ(auditor.violations(), 1u);
-  auditor.end_event();
+  monitor.begin_event(us(1), /*scope=*/2);
+  monitor.owned_access(check::Layer::kHw, /*owner_node=*/2, "own node");
+  EXPECT_EQ(monitor.scope_violations(), 0u);
+  monitor.owned_access(check::Layer::kHw, /*owner_node=*/3, "foreign node");
+  EXPECT_EQ(monitor.scope_violations(), 1u);
+  monitor.end_event();
 
-  EXPECT_EQ(monitor.violation_count(), 1u);
-  EXPECT_GE(auditor.checks(), 2u);
+  ASSERT_EQ(monitor.violation_count(), 1u);
+  EXPECT_EQ(monitor.violations().front().rule, "scope_confinement");
+  EXPECT_GE(monitor.scope_checks(), 2u);
 }
 
 TEST(ScopeAuditor, SharedStateRequiresUnconfinedScope) {
   check::InvariantMonitor monitor(/*fatal=*/false);
-  scope::ScopeAuditor auditor(&monitor);
 
   // Scope -1 ("touches anything") events may touch shared state...
-  auditor.begin_event(us(1), /*event_scope=*/-1);
-  auditor.shared_access(check::Layer::kHw, /*node=*/0, "fabric graph");
-  auditor.owned_access(check::Layer::kHw, /*owner_node=*/5, "any node");
-  EXPECT_EQ(auditor.violations(), 0u);
-  auditor.end_event();
+  monitor.begin_event(us(1), /*scope=*/-1);
+  monitor.shared_access(check::Layer::kHw, /*node=*/0, "fabric graph");
+  monitor.owned_access(check::Layer::kHw, /*owner_node=*/5, "any node");
+  EXPECT_EQ(monitor.scope_violations(), 0u);
+  monitor.end_event();
 
   // ...confined events may not.
-  auditor.begin_event(us(2), /*event_scope=*/4);
-  auditor.shared_access(check::Layer::kHw, /*node=*/4, "fabric graph");
-  EXPECT_EQ(auditor.violations(), 1u);
-  auditor.end_event();
+  monitor.begin_event(us(2), /*scope=*/4);
+  monitor.shared_access(check::Layer::kHw, /*node=*/4, "fabric graph");
+  EXPECT_EQ(monitor.scope_violations(), 1u);
+  monitor.end_event();
+  EXPECT_EQ(monitor.violations().front().rule, "scope_shared_state");
 }
 
 TEST(ScopeAuditor, InactiveOutsideDispatchAndThrowsWithoutMonitor) {
-  scope::ScopeAuditor auditor;  // no monitor: violations are fatal
+  check::InvariantMonitor monitor;  // fatal: the first violation throws
 
   // Accesses outside any dispatched event (setup code) are not audited.
-  auditor.owned_access(check::Layer::kHw, /*owner_node=*/9, "setup");
-  EXPECT_EQ(auditor.checks(), 0u);
-  EXPECT_EQ(auditor.violations(), 0u);
+  monitor.owned_access(check::Layer::kHw, /*owner_node=*/9, "setup");
+  EXPECT_EQ(monitor.scope_checks(), 0u);
+  EXPECT_EQ(monitor.scope_violations(), 0u);
 
-  auditor.begin_event(us(1), /*event_scope=*/1);
-  EXPECT_THROW(auditor.owned_access(check::Layer::kHw, /*owner_node=*/2, "foreign"),
+  monitor.begin_event(us(1), /*scope=*/1);
+  EXPECT_THROW(monitor.owned_access(check::Layer::kHw, /*owner_node=*/2, "foreign"),
                check::InvariantViolationError);
-  auditor.end_event();
+  monitor.end_event();
 }
 
 // --- Whole-stack runs -------------------------------------------------
@@ -79,15 +80,25 @@ struct WriteRun {
   std::uint64_t violations = 0;
 };
 
+/// How a run attaches its counting monitor.
+enum class Audit {
+  kNone,           ///< nothing attached by the test
+  kEnableChecks,   ///< Cluster::enable_checks, the FABSIM_CHECK path
+  kAttachMonitor,  ///< Cluster::attach_monitor alone, FabricExplore's path
+};
+
 // Three concurrent RDMA Writes into the highest node, the
 // tests/topo_test.cpp traffic shape; works on any fabric the profile
-// names. With `attach_auditor` the caller-owned ScopeAuditor (counting
-// monitor) rides along on every dispatched event.
-WriteRun run_writes(const core::NetworkProfile& profile, int nodes, bool attach_auditor) {
+// names.
+WriteRun run_writes(const core::NetworkProfile& profile, int nodes, Audit audit) {
   core::Cluster cluster(nodes, profile);
-  check::InvariantMonitor monitor(/*fatal=*/false);
-  scope::ScopeAuditor auditor(&monitor);
-  if (attach_auditor) cluster.attach_scope_auditor(auditor);
+  check::InvariantMonitor own(/*fatal=*/false);
+  check::InvariantMonitor* monitor = nullptr;
+  if (audit == Audit::kEnableChecks) monitor = &cluster.enable_checks(/*fatal=*/false);
+  if (audit == Audit::kAttachMonitor) {
+    cluster.attach_monitor(own);
+    monitor = &own;
+  }
 
   const int dst_node = nodes - 1;
   const std::uint32_t len = 8 * 1024;
@@ -117,16 +128,27 @@ WriteRun run_writes(const core::NetworkProfile& profile, int nodes, bool attach_
   }
   cluster.engine().run();
 
-  return WriteRun{cluster.engine().run_digest(), cluster.engine().events_processed(),
-                  auditor.checks(), auditor.violations()};
+  WriteRun run{cluster.engine().run_digest(), cluster.engine().events_processed()};
+  if (monitor != nullptr) {
+    run.checks = monitor->scope_checks();
+    run.violations = monitor->scope_violations();
+  }
+  return run;
 }
 
-// The auditor is an observer: attaching it must not perturb the
+core::NetworkProfile clos_profile(bool mislabel_wire_scope) {
+  core::NetworkProfile profile = core::iwarp_profile();
+  profile.fabric = topo::FabricSpec{2, 8, 1.0, hw::FlowControl::kLossy};
+  profile.switch_cfg.mutation_mislabel_wire_scope = mislabel_wire_scope;
+  return profile;
+}
+
+// The audit is an observer: attaching the monitor must not perturb the
 // schedule. Same workload with and without it -> byte-identical digest.
 TEST(ScopeAuditor, AttachedAuditorLeavesRunDigestIdentical) {
   const core::NetworkProfile profile = core::iwarp_profile();
-  const WriteRun plain = run_writes(profile, 4, /*attach_auditor=*/false);
-  const WriteRun audited = run_writes(profile, 4, /*attach_auditor=*/true);
+  const WriteRun plain = run_writes(profile, 4, Audit::kNone);
+  const WriteRun audited = run_writes(profile, 4, Audit::kEnableChecks);
   EXPECT_EQ(plain.digest, audited.digest);
   EXPECT_EQ(plain.events, audited.events);
   EXPECT_GT(audited.checks, 0u);       // the traps actually fired
@@ -136,9 +158,8 @@ TEST(ScopeAuditor, AttachedAuditorLeavesRunDigestIdentical) {
 // A routed (multi-switch) run exercises the Switch shared-state traps
 // too; an honestly-labelled tree stays clean under audit.
 TEST(ScopeAuditor, CleanClosRunAuditsCleanly) {
-  core::NetworkProfile profile = core::iwarp_profile();
-  profile.fabric = topo::FabricSpec{2, 8, 1.0, hw::FlowControl::kLossy};
-  const WriteRun r = run_writes(profile, 8, /*attach_auditor=*/true);
+  const WriteRun r = run_writes(clos_profile(/*mislabel_wire_scope=*/false), 8,
+                                Audit::kEnableChecks);
   EXPECT_GT(r.checks, 0u);
   EXPECT_EQ(r.violations, 0u);
 }
@@ -148,11 +169,22 @@ TEST(ScopeAuditor, CleanClosRunAuditsCleanly) {
 // frame's source node instead of scope -1). The Switch's shared-state
 // trap must catch the lie on every routed frame.
 TEST(ScopeAuditor, CatchesMislabeledWireScopeMutation) {
-  core::NetworkProfile profile = core::iwarp_profile();
-  profile.fabric = topo::FabricSpec{2, 8, 1.0, hw::FlowControl::kLossy};
-  profile.switch_cfg.mutation_mislabel_wire_scope = true;
-  const WriteRun r = run_writes(profile, 8, /*attach_auditor=*/true);
+  const WriteRun r = run_writes(clos_profile(/*mislabel_wire_scope=*/true), 8,
+                                Audit::kEnableChecks);
   EXPECT_GT(r.violations, 0u);
+}
+
+// Any attached monitor runs the scope audit, not only the one
+// enable_checks() builds: FabricExplore attaches its own through
+// Cluster::attach_monitor and must catch the same lie.
+TEST(MonitorAudit, AttachMonitorAloneCatchesMislabeledWireScope) {
+  const WriteRun clean = run_writes(clos_profile(/*mislabel_wire_scope=*/false), 8,
+                                    Audit::kAttachMonitor);
+  EXPECT_GT(clean.checks, 0u);
+  EXPECT_EQ(clean.violations, 0u);
+  const WriteRun mutated = run_writes(clos_profile(/*mislabel_wire_scope=*/true), 8,
+                                      Audit::kAttachMonitor);
+  EXPECT_GT(mutated.violations, 0u);
 }
 
 }  // namespace
