@@ -167,7 +167,14 @@ int main(int argc, char** argv) {
     scenarios.push_back(find_scenario(opt.scenario, opt.mutation));
   }
 
-  core::Report report("ext_explore");
+  // Quick and mutation runs report under their own names, so neither
+  // overwrites the clean default sweep in results/ext_explore.*.
+  std::string report_name = "ext_explore";
+  if (opt.quick) report_name += "_quick";
+  if (opt.mutation != Mutation::kNone) {
+    report_name += std::string("_") + mutation_name(opt.mutation);
+  }
+  core::Report report(report_name);
   report.add_note(std::string("mutation=") + mutation_name(opt.mutation));
   report.add_note("search: DFS over co-enabled tie-breaks + seeded fuzz; see "
                   "docs/model_checking.md");

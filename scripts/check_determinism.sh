@@ -6,7 +6,8 @@
 # queues are part of the fingerprint) — and requires the two runs to
 # be byte-identical: same report JSON, and in particular the same
 # sim.digest (the engine's FNV-1a fold over every (time, seq) event it
-# dispatched) for every cluster the benches fingerprinted.
+# dispatched) for every cluster the benches fingerprinted. It then
+# requires those digests to equal the ones committed under results/.
 #
 # Usage: scripts/check_determinism.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -61,6 +62,29 @@ EOF
     status=1
   else
     echo "$report: $digests digest(s) identical across runs"
+  fi
+done
+
+# Committed results must match the code: every sim.digest in a
+# regenerated report must equal the one committed under results/, so a
+# change to simulated behaviour that does not regenerate results/ fails
+# here. Only these reports have a committed counterpart (ext_faults
+# commits its full sweep, not the quick one run above).
+committed=("fig3_mpi_latency" "ext_incast_quick" "ext_chaos_quick")
+for report in "${committed[@]}"; do
+  if ! python3 - "$scratch/run1/results/$report.json" "results/$report.json" <<'EOF'
+import json, sys
+fresh, committed = (json.load(open(path)).get("metrics", {}) for path in sys.argv[1:])
+keys = sorted(k for k in fresh.keys() | committed.keys() if k.endswith("sim.digest"))
+stale = [k for k in keys if fresh.get(k) != committed.get(k)]
+for key in stale:
+    print(f"  {key}: committed {committed.get(key)}, code {fresh.get(key)}", file=sys.stderr)
+print(f"{sys.argv[2]}: {len(keys) - len(stale)}/{len(keys)} digest(s) match the code")
+sys.exit(1 if stale or not keys else 0)
+EOF
+  then
+    echo "STALE: results/$report.json does not match the code; regenerate results/" >&2
+    status=1
   fi
 done
 

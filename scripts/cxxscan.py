@@ -109,6 +109,20 @@ class ClassSpan:
         self.src = src
         self.start = start  # offset of the class body's '{'
         self.end = end
+        self.bases = []     # unqualified base-class names, in declaration order
+
+
+def base_names(head):
+    """Base classes named in a class head (`X final : public ns::B, C` -> [B, C])."""
+    if ":" not in head.replace("::", ""):
+        return []
+    clause = re.split(r"(?<!:):(?!:)", head, maxsplit=1)[1]
+    names = []
+    for base in clause.split(","):
+        idents = re.findall(r"[A-Za-z_]\w*", base.split("<")[0])
+        if idents:
+            names.append(idents[-1])
+    return names
 
 
 def collect_classes(src, make=ClassSpan):
@@ -130,7 +144,9 @@ def collect_classes(src, make=ClassSpan):
         end = matching(src.masked, i, "{", "}")
         if end < 0:
             continue
-        classes.append(make(m.group(2), src, i, end))
+        cls = make(m.group(2), src, i, end)
+        cls.bases = base_names(src.masked[m.end():i])
+        classes.append(cls)
     return classes
 
 

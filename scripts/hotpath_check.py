@@ -19,12 +19,14 @@ Pass B - roots. The hot set is seeded by `Engine::dispatch` (the loop
     call site - the bodies the dispatcher will eventually invoke.
 
 Pass C - reachability. From each root, walk the call graph: bare calls
-    resolve against the enclosing class then free functions;
-    `obj.method(` / `obj->method(` calls resolve the receiver's declared
-    type from function locals/parameters or the enclosing class's member
-    declarations. FABSIM_COLD stops the walk (error/teardown paths are
-    exempt); unresolvable calls are recorded in the report, never
-    guessed. The walk is depth-limited (--max-depth, default 4).
+    resolve against the enclosing class (and its base classes) then free
+    functions; `obj.method(` / `obj->method(` calls resolve the
+    receiver's declared type from function locals/parameters or the
+    enclosing class's member declarations; a call on a call's result
+    (`a->b().c(`) takes the declared return type of the inner call.
+    FABSIM_COLD stops the walk (error/teardown paths are exempt);
+    unresolvable calls are recorded in the report, never guessed. The
+    walk is depth-limited (--max-depth, default 4).
 
 Pass D - purity scan. Every reached body is scanned for:
       hot_alloc        `new` (placement new exempt), make_unique/shared
@@ -108,6 +110,12 @@ FINDING_RULES = [
     ("hot_throw", re.compile(r"(?<![\w_])throw\b"), False),
 ]
 MUTATION_SEAM = re.compile(r"FABSIM_MUTATION_HOTALLOC\s*\(")
+MEMBER_ACCESS_END = re.compile(r"(?:\.|->)\s*$")
+# The `receiver->callee` (or bare `callee`) ending a text, before its '('.
+CALL_TAIL = re.compile(r"(?:\b([A-Za-z_]\w*)\s*(?:->|\.)\s*)?\b([A-Za-z_]\w*)\s*$")
+# Declaration words that precede a return type without naming it.
+RETURN_TYPE_NOISE = {"inline", "static", "virtual", "constexpr", "explicit", "friend",
+                     "FABSIM_HOT", "FABSIM_COLD", "public", "protected", "private"}
 
 
 class FunctionInfo:
@@ -232,15 +240,69 @@ class Analyzer:
                 self.funcs_by_key.setdefault(fn.key, []).append(fn)
                 self.funcs_by_name.setdefault(fn.name, []).append(fn)
 
+    def method(self, cls_name, name, seen=()):
+        """Definitions of cls::name, else of the nearest base class's."""
+        hits = self.funcs_by_key.get(f"{cls_name}::{name}")
+        if hits:
+            return hits
+        for cls in self.classes_by_name.get(cls_name, []):
+            for base in cls.bases:
+                if base not in seen:
+                    hits = self.method(base, name, seen + (cls_name,))
+                    if hits:
+                        return hits
+        return []
+
     def lookup(self, cls_name, name):
-        """Definitions for cls::name, preferring the exact class."""
+        """Definitions for cls::name (or an inherited one), else a free function."""
         if cls_name:
-            hits = self.funcs_by_key.get(f"{cls_name}::{name}")
+            hits = self.method(cls_name, name)
             if hits:
                 return hits
         return self.funcs_by_key.get(name, [])
 
     # --- pass C -----------------------------------------------------------
+    def receiver_class(self, receiver, cls_name, func_text):
+        """Class of a named receiver: declared in the function, else a member."""
+        decl = find_decl_type(func_text, receiver)
+        if decl is None and cls_name:
+            # The enclosing class's member declarations (the class may live
+            # in the sibling header).
+            for cls in self.classes_by_name.get(cls_name, []):
+                decl = find_decl_type(cls.src.raw[cls.start:cls.end], receiver)
+                if decl:
+                    break
+        return type_to_class_name(decl)
+
+    def return_class(self, fn):
+        """Class named by a function definition's declared return type."""
+        masked = fn.src.masked
+        begin = max(masked.rfind(ch, 0, fn.head) for ch in ";{}:") + 1
+        words = [w for w in re.findall(r"[A-Za-z_]\w*", masked[begin:fn.head])
+                 if w not in RETURN_TYPE_NOISE]
+        return type_to_class_name(" ".join(words)) if words else None
+
+    def callee_defs(self, text, receiver, callee, callee_start, cls_name, func_text, depth=0):
+        """Definitions a call to `callee` at text[callee_start] can reach."""
+        if receiver is None and MEMBER_ACCESS_END.search(text[:callee_start]):
+            # Member call on an expression (`a->b().c(`): its class is the
+            # declared return type of the call the expression ends with -
+            # never a free function of the same name.
+            head = MEMBER_ACCESS_END.sub("", text[:callee_start])
+            close = matching(head[::-1], 0, ")", "(") if head.endswith(")") else -1
+            inner = CALL_TAIL.search(head[:len(head) - 1 - close]) if close > 0 else None
+            if inner is None or depth >= 2:
+                return []
+            classes = {self.return_class(fn) for fn in self.callee_defs(
+                head, inner.group(1), inner.group(2), inner.start(2), cls_name, func_text,
+                depth + 1)}
+            owner = classes.pop() if len(classes) == 1 else None
+        elif receiver is None or receiver == "this":
+            return self.lookup(cls_name, callee)
+        else:
+            owner = self.receiver_class(receiver, cls_name, func_text)
+        return self.method(owner, callee) if owner else []
+
     def resolve_calls(self, src, body_start, body_end, cls_name, func_text):
         """Called FunctionInfos reachable from one body."""
         body = src.masked[body_start:body_end + 1]
@@ -252,27 +314,10 @@ class Analyzer:
             receiver = m.group(1)
             if receiver in ("std", "fabsim"):
                 continue
-            if receiver is None or receiver == "this":
-                hits = self.lookup(cls_name, callee)
-                if hits:
-                    out.extend(hits)
-                elif callee not in SAFE_CALLS and not callee[0].isupper():
-                    self.unresolved[callee] = self.unresolved.get(callee, 0) + 1
-                continue
-            # obj.method( / obj->method( : type the receiver from function
-            # locals/params, else from the enclosing class's member
-            # declarations (the class may live in the sibling header).
-            decl = find_decl_type(func_text, receiver)
-            if decl is None and cls_name:
-                for cls in self.classes_by_name.get(cls_name, []):
-                    decl = find_decl_type(cls.src.raw[cls.start:cls.end], receiver)
-                    if decl:
-                        break
-            recv_cls = type_to_class_name(decl)
-            hits = self.funcs_by_key.get(f"{recv_cls}::{callee}") if recv_cls else None
+            hits = self.callee_defs(body, receiver, callee, m.start(3), cls_name, func_text)
             if hits:
                 out.extend(hits)
-            else:
+            elif receiver is not None or not callee[0].isupper():
                 self.unresolved[callee] = self.unresolved.get(callee, 0) + 1
         return out
 

@@ -17,9 +17,11 @@
 #                rendezvous message to results/trace_export.json
 #   --explore    after the benches, re-run the FabricExplore schedule
 #                search with a much larger budget (and the fuzzer) than
-#                the quick sweep the bench loop already performs; any
+#                the default sweep the bench loop already performs; any
 #                finding fails the run and leaves a replayable
-#                counterexample in results/counterexamples/
+#                counterexample in results/counterexamples/ (its report
+#                is discarded: results/ext_explore.* stays the default
+#                sweep's)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -121,7 +123,13 @@ python3 scripts/assert_perf.py BENCH_engine.json
 
 if [[ "$explore" == 1 ]]; then
   echo "=== ext_explore (large budget) ==="
-  "$bench_dir"/ext_explore --budget 4096 --depth 48 --fuzz 512 --seed 1
+  # Run from a scratch directory so this pass leaves the default sweep's
+  # results/ext_explore.* alone; counterexamples still land in
+  # results/counterexamples/.
+  explore_dir="$(mktemp -d)"
+  trap 'rm -rf "$explore_dir"' EXIT
+  (cd "$explore_dir" && "$OLDPWD/$bench_dir"/ext_explore --budget 4096 --depth 48 --fuzz 512 \
+    --seed 1 --out "$OLDPWD/results/counterexamples")
 fi
 
 if [[ "$trace" == 1 ]]; then

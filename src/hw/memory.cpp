@@ -1,9 +1,18 @@
 #include "hw/memory.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 namespace fabsim::hw {
+
+Buffer::Buffer(std::uint64_t addr, std::uint64_t size, bool with_data)
+    : addr_(addr), size_(size) {
+  if (!with_data || size == 0) return;  // size-only: has_data() stays false
+  data_.reset(static_cast<std::byte*>(std::calloc(size, 1)));
+  if (data_ == nullptr) throw std::bad_alloc();
+}
 
 Buffer& AddressSpace::alloc(std::uint64_t size, bool with_data) {
   const std::uint64_t addr = next_addr_;
@@ -30,6 +39,7 @@ Buffer* AddressSpace::find(std::uint64_t addr) {
 void AddressSpace::write(std::uint64_t addr, std::span<const std::byte> data) {
   Buffer* buffer = find(addr);
   if (buffer == nullptr || addr + data.size() > buffer->addr() + buffer->size()) {
+    // HOT-OK(misuse guard; unreachable in a conforming run)
     throw std::out_of_range("AddressSpace::write outside any buffer");
   }
   if (buffer->has_data() && !data.empty()) {
@@ -48,6 +58,19 @@ std::span<std::byte> AddressSpace::window(std::uint64_t addr, std::uint64_t len)
     throw std::logic_error("AddressSpace::window on a size-only buffer");
   }
   return buffer->bytes().subspan(addr - buffer->addr(), len);
+}
+
+std::shared_ptr<std::vector<std::byte>> AddressSpace::snapshot(std::uint64_t addr,
+                                                              std::uint64_t len) {
+  Buffer* buffer = find(addr);
+  if (buffer == nullptr || addr + len > buffer->addr() + buffer->size()) {
+    // HOT-OK(protocol-violation guard; unreachable in a conforming run)
+    throw std::out_of_range("AddressSpace::snapshot outside any buffer");
+  }
+  if (!buffer->has_data()) return nullptr;
+  const auto first = buffer->bytes().begin() + static_cast<std::ptrdiff_t>(addr - buffer->addr());
+  // HOT-OK(per-message wire payload snapshot; stack-level state outside the engine's tracked zero-alloc contract)
+  return std::make_shared<std::vector<std::byte>>(first, first + static_cast<std::ptrdiff_t>(len));
 }
 
 MemoryRegistry::Key MemoryRegistry::register_region(std::uint64_t addr, std::uint64_t len) {

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <span>
@@ -20,21 +21,29 @@
 
 namespace fabsim::hw {
 
+/// A buffer's bytes start zeroed. They come from calloc, so memory fresh
+/// from the kernel needs no memset and its pages are touched only where
+/// the simulation writes: a large buffer (an MPI eager ring) then costs
+/// about the same whether or not the allocator returned earlier buffers
+/// to the kernel.
 class Buffer {
  public:
-  Buffer(std::uint64_t addr, std::uint64_t size, bool with_data)
-      : addr_(addr), size_(size), data_(with_data ? size : 0) {}
+  Buffer(std::uint64_t addr, std::uint64_t size, bool with_data);
 
   std::uint64_t addr() const { return addr_; }
   std::uint64_t size() const { return size_; }
-  bool has_data() const { return !data_.empty(); }
-  std::span<std::byte> bytes() { return data_; }
-  std::span<const std::byte> bytes() const { return data_; }
+  bool has_data() const { return data_ != nullptr; }
+  std::span<std::byte> bytes() { return {data_.get(), has_data() ? size_ : 0}; }
+  std::span<const std::byte> bytes() const { return {data_.get(), has_data() ? size_ : 0}; }
 
  private:
+  struct FreeBytes {
+    void operator()(std::byte* bytes) const { std::free(bytes); }
+  };
+
   std::uint64_t addr_;
   std::uint64_t size_;
-  std::vector<std::byte> data_;
+  std::unique_ptr<std::byte[], FreeBytes> data_;
 };
 
 /// Per-node virtual address space: a bump allocator over fake addresses
@@ -54,6 +63,11 @@ class AddressSpace {
 
   /// View of [addr, addr+len) — requires a data-carrying buffer.
   std::span<std::byte> window(std::uint64_t addr, std::uint64_t len);
+
+  /// Copy of [addr, addr+len) to carry as a wire payload: null when the
+  /// covering buffer is size-only. Throws std::out_of_range when the
+  /// range lies outside any buffer.
+  std::shared_ptr<std::vector<std::byte>> snapshot(std::uint64_t addr, std::uint64_t len);
 
  private:
   std::uint64_t next_addr_ = 0x1000;

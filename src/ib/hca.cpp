@@ -1,155 +1,30 @@
 #include "ib/hca.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <string>
 
 #include "check/audits.hpp"
 
 namespace fabsim::ib {
 
-namespace {
-constexpr std::uint32_t kReadRequestBytes = 28;
-}
-
 // ---------------------------------------------------------------------------
-// Qp
-// ---------------------------------------------------------------------------
-
-Task<> Qp::post_send(verbs::SendWr wr) { return nic_->post_send_impl(*this, wr); }
-
-Task<> Qp::post_recv(verbs::RecvWr wr) { return nic_->post_recv_impl(*this, wr); }
-
-// ---------------------------------------------------------------------------
-// Hca: construction / verbs surface
+// Construction / doorbell
 // ---------------------------------------------------------------------------
 
 Hca::Hca(hw::Node& node, hw::Switch& fabric, HcaConfig config)
-    : node_(&node),
-      fabric_(&fabric),
-      config_(config),
-      port_(fabric.attach(*this)),
-      registry_(config.reg) {}
+    : verbs::Device("ib", node, fabric, config.reg, config.post_send_cpu, config.post_recv_cpu),
+      config_(config) {}
 
-Task<verbs::MrKey> Hca::reg_mr(std::uint64_t addr, std::uint64_t len) {
-  co_await node_->cpu().compute(registry_.register_cost(len));
-  co_return registry_.register_region(addr, len);
-}
-
-Task<> Hca::dereg_mr(verbs::MrKey key) {
-  const auto* region = registry_.lookup(key);
-  if (region == nullptr) throw std::invalid_argument("ib: dereg_mr of unknown key");
-  const Time cost = registry_.deregister_cost(region->len);
-  registry_.deregister(key);
-  co_await node_->cpu().compute(cost);
-}
-
-std::unique_ptr<verbs::QueuePair> Hca::create_qp(verbs::CompletionQueue& send_cq,
-                                                 verbs::CompletionQueue& recv_cq) {
-  return std::unique_ptr<Qp>(new Qp(*this, next_qp_num_++, send_cq, recv_cq));
-}
-
-std::shared_ptr<Event> Hca::watch_placement(std::uint64_t addr, std::uint64_t len) {
-  auto event = std::make_shared<Event>(engine());
-  watches_.push_back(Watch{addr, len, event});
-  return event;
-}
-
-void Hca::connect(verbs::QueuePair& a, verbs::QueuePair& b) {
-  auto& qa = dynamic_cast<Qp&>(a);
-  auto& qb = dynamic_cast<Qp&>(b);
-  if (qa.connected() || qb.connected()) throw std::logic_error("ib: QP already connected");
-  const int ca = qa.nic_->new_conn(qa);
-  const int cb = qb.nic_->new_conn(qb);
-  Conn& conn_a = *qa.nic_->conns_[static_cast<std::size_t>(ca)];
-  Conn& conn_b = *qb.nic_->conns_[static_cast<std::size_t>(cb)];
-  conn_a.peer = qb.nic_;
-  conn_a.peer_conn_id = cb;
-  conn_b.peer = qa.nic_;
-  conn_b.peer_conn_id = ca;
-  qa.conn_id_ = ca;
-  qb.conn_id_ = cb;
-}
-
-int Hca::new_conn(Qp& qp) {
-  conns_.push_back(std::make_unique<Conn>());
-  conns_.back()->qp = &qp;
-  conns_.back()->id = static_cast<int>(conns_.size()) - 1;
-  return conns_.back()->id;
-}
-
-std::shared_ptr<std::vector<std::byte>> Hca::snapshot(hw::AddressSpace& mem, std::uint64_t addr,
-                                                      std::uint32_t len) {
-  hw::Buffer* buffer = mem.find(addr);
-  if (buffer == nullptr || addr + len > buffer->addr() + buffer->size()) {
-    // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-    throw std::out_of_range("ib: source outside any buffer");
-  }
-  if (!buffer->has_data()) return nullptr;
-  auto view = mem.window(addr, len);
-  // HOT-OK(per-message wire payload snapshot; stack-level state outside the engine's tracked zero-alloc contract)
-  return std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
-}
-
-// ---------------------------------------------------------------------------
-// Host-facing post paths
-// ---------------------------------------------------------------------------
-
-Task<> Hca::post_send_impl(Qp& qp, verbs::SendWr wr) {
-  if (!qp.connected()) throw std::logic_error("ib: post_send on unconnected QP");
-  if (qp.in_error_) throw std::runtime_error("ib: post_send on QP in error state");
-  if (wr.sge.length == 0) throw std::invalid_argument("ib: zero-length work request");
-  if (!registry_.covers(wr.sge.lkey, wr.sge.addr, wr.sge.length)) {
-    throw std::invalid_argument("ib: sge not covered by lkey");
-  }
-  co_await node_->cpu().compute(config_.post_send_cpu);
-
-  OutMsg msg{};
-  msg.wr_id = wr.wr_id;
-  msg.signaled = wr.signaled;
-  switch (wr.opcode) {
-    case verbs::Opcode::kSend:
-      msg.kind = MsgKind::kUntagged;
-      msg.len = wr.sge.length;
-      break;
-    case verbs::Opcode::kRdmaWrite:
-      msg.kind = MsgKind::kTaggedWrite;
-      msg.len = wr.sge.length;
-      msg.remote_addr = wr.remote_addr;
-      msg.rkey = wr.rkey;
-      break;
-    case verbs::Opcode::kRdmaRead:
-      msg.kind = MsgKind::kReadRequest;
-      msg.len = kReadRequestBytes;
-      msg.remote_addr = wr.remote_addr;
-      msg.rkey = wr.rkey;
-      msg.read_sink_addr = wr.sge.addr;
-      msg.read_sink_key = wr.sge.lkey;
-      msg.read_len = wr.sge.length;
-      break;
-  }
-  if (wr.opcode != verbs::Opcode::kRdmaRead) {
-    msg.data = snapshot(node_->mem(), wr.sge.addr, wr.sge.length);
-  }
-
-  const int conn_id = qp.conn_id_;
+void Hca::submit(verbs::Conn& posted, verbs::Message msg) {
+  const int conn_id = posted.id;
   // Scope labels on HCA-internal continuations (doorbell, timers, ack and
   // placement processing) mark them as confined to this node for schedule
   // exploration; wire handoffs stay unscoped (-1) because they mutate
   // shared switch state.
   engine().post(engine().now() + config_.doorbell, /*scope=*/port_,
                 [this, conn_id, msg = std::move(msg)]() mutable {
-                  send_message(*conns_[static_cast<std::size_t>(conn_id)], std::move(msg));
+                  send_message(conn_at(conn_id), std::move(msg));
                 });
-}
-
-Task<> Hca::post_recv_impl(Qp& qp, verbs::RecvWr wr) {
-  if (!qp.connected()) throw std::logic_error("ib: post_recv on unconnected QP");
-  if (qp.in_error_) throw std::runtime_error("ib: post_recv on QP in error state");
-  if (!registry_.covers(wr.sge.lkey, wr.sge.addr, wr.sge.length)) {
-    throw std::invalid_argument("ib: recv sge not covered by lkey");
-  }
-  co_await node_->cpu().compute(config_.post_recv_cpu);
-  conns_[static_cast<std::size_t>(qp.conn_id_)]->recv_queue.push_back(wr);
 }
 
 // ---------------------------------------------------------------------------
@@ -186,48 +61,18 @@ Time Hca::engine_process(Time ready, const Packet& packet, bool transmit_side,
   return proc_.book(ready, occupancy) + config_.engine_latency_pad;
 }
 
-void Hca::send_message(Conn& conn, OutMsg msg) {
+void Hca::send_message(Conn& conn, verbs::Message msg) {
   // Scope trap: all transmit-side HCA state is FABSIM_OWNED_BY(port_).
   FABSIM_AUDIT_OWNED(engine(), check::Layer::kIb, port_, "Hca::send_message");
-  if (msg.kind == MsgKind::kReadRequest) {
-    // Track the read until its response completes it: the request packet
-    // is acked (and leaves inflight) long before the response arrives,
-    // and enter_error must be able to flush the stranded completion.
-    // HOT-OK(pending-read list bounded by outstanding RDMA reads)
-    conn.pending_reads.push_back(Conn::PendingRead{msg.wr_id, msg.read_len, msg.signaled});
-  }
+  // Track a read until its response completes it: the request packet is
+  // acked (and leaves inflight) long before the response arrives, and
+  // enter_error must be able to flush the stranded completion.
+  if (msg.kind == MsgKind::kReadRequest) conn.track_read(msg);
   const std::uint64_t msg_id = conn.next_msg_id++;
-  std::uint32_t offset = 0;
-  while (offset < msg.len) {
+  for (std::uint32_t offset = 0; offset < msg.len;) {
     const std::uint32_t chunk = std::min(config_.mtu, msg.len - offset);
-
-    Packet packet{};
-    packet.dst_conn_id = conn.peer_conn_id;
-    packet.kind = msg.kind;
-    packet.msg_id = msg_id;
-    packet.msg_len = msg.len;
-    packet.msg_offset = offset;
-    packet.payload_len = chunk;
-    packet.rkey = msg.rkey;
-    packet.wr_id = msg.wr_id;
-    packet.signaled = msg.signaled;
-    packet.first_of_message = (offset == 0);
-    packet.read_sink_addr = msg.read_sink_addr;
-    packet.read_sink_key = msg.read_sink_key;
-    packet.read_len = msg.read_len;
-    if (msg.kind == MsgKind::kTaggedWrite || msg.kind == MsgKind::kReadResponse) {
-      packet.place_addr = msg.remote_addr + offset;
-    } else if (msg.kind == MsgKind::kReadRequest) {
-      packet.place_addr = msg.remote_addr;
-    }
-    if (msg.data != nullptr) {
-      // HOT-OK(per-message wire payload buffer; stack-level state outside the engine's tracked zero-alloc contract)
-      packet.data = std::make_shared<std::vector<std::byte>>(
-          msg.data->begin() + offset, msg.data->begin() + offset + chunk);
-    }
+    Packet packet{verbs::chunk_header(msg, msg_id, offset, chunk, conn.peer_conn_id)};
     offset += chunk;
-    packet.last_of_message = (offset == msg.len);
-
     transmit_packet(conn, std::move(packet), /*retransmit=*/false);
   }
 }
@@ -281,22 +126,14 @@ FABSIM_HOT void Hca::transmit_packet(Conn& conn, Packet packet, bool retransmit)
   // On the lossless fabric the send completion can be pushed at wire
   // handoff; with reliability armed it is deferred until the ack frees the
   // packet from the inflight queue (handle_ack_packet).
-  const bool completes =
-      !rel && packet.last_of_message && packet.signaled &&
-      (packet.kind == MsgKind::kUntagged || packet.kind == MsgKind::kTaggedWrite);
-  Qp* qp = conn.qp;
-  Hca* peer = conn.peer;
+  const bool completes = !rel && packet.completes_send();
+  verbs::QueuePair* qp = conn.qp;
   const int src = port_;
-  engine().post(sent, [this, packet = std::move(packet), completes, qp, peer, src]() mutable {
-    if (completes) {
-      const auto type = packet.kind == MsgKind::kUntagged
-                            ? verbs::Completion::Type::kSend
-                            : verbs::Completion::Type::kRdmaWrite;
-      qp->send_cq_->push(verbs::Completion{packet.wr_id, type, packet.msg_len, qp->qp_num()});
-    }
-    fabric_->ingress(hw::Frame{src, peer->port_,
-                               packet.payload_len + config_.packet_overhead,
-                               std::move(packet)});
+  const int dst = conn.peer->fabric_port();
+  engine().post(sent, [this, packet = std::move(packet), completes, qp, src, dst]() mutable {
+    if (completes) complete_send(*qp, packet);
+    fabric_->ingress(
+        hw::Frame{src, dst, packet.payload_len + config_.packet_overhead, std::move(packet)});
   });
 }
 
@@ -325,16 +162,16 @@ void Hca::send_ack(Conn& conn, bool nak) {
   const Time ack_serialization = fabric_->config().link_rate.bytes_time(config_.ack_wire_bytes);
   engine().charge_phase(Phase::kWire, node_->id(), ack_serialization);
   const Time sent = tx_link_.book(processed, ack_serialization);
-  Hca* peer = conn.peer;
   const int src = port_;
+  const int dst = conn.peer->fabric_port();
   const std::uint32_t wire = config_.ack_wire_bytes;
-  engine().post(sent, [this, ack, peer, src, wire]() mutable {
-    fabric_->ingress(hw::Frame{src, peer->port_, wire, std::move(ack)});
+  engine().post(sent, [this, ack, src, dst, wire]() mutable {
+    fabric_->ingress(hw::Frame{src, dst, wire, std::move(ack)});
   });
 }
 
 void Hca::handle_ack_packet(Conn& conn, const Packet& ack) {
-  if (conn.qp->in_error_) return;
+  if (conn.qp->in_error()) return;
   if (check::InvariantMonitor* monitor = engine().monitor()) {
     check::audit_ib_ack_window(ack.ack_psn, conn.snd_psn)
         .report(monitor, engine().now(), check::Layer::kIb, node_->id());
@@ -344,14 +181,7 @@ void Hca::handle_ack_packet(Conn& conn, const Packet& ack) {
     const Packet done = std::move(conn.inflight.front());
     conn.inflight.pop_front();
     advanced = true;
-    const bool completes = done.last_of_message && done.signaled &&
-                           (done.kind == MsgKind::kUntagged || done.kind == MsgKind::kTaggedWrite);
-    if (completes) {
-      const auto type = done.kind == MsgKind::kUntagged ? verbs::Completion::Type::kSend
-                                                        : verbs::Completion::Type::kRdmaWrite;
-      conn.qp->send_cq_->push(verbs::Completion{done.wr_id, type, done.msg_len,
-                                                conn.qp->qp_num()});
-    }
+    if (done.completes_send()) complete_send(*conn.qp, done);
   }
   if (advanced) conn.retry_count = 0;
   // Any timer now covers the wrong head of line; cancel it (generation
@@ -366,7 +196,7 @@ void Hca::handle_ack_packet(Conn& conn, const Packet& ack) {
 }
 
 void Hca::retransmit_inflight(Conn& conn) {
-  if (conn.qp->in_error_) return;
+  if (conn.qp->in_error()) return;
   // Go-back-N: resend everything outstanding, oldest first, preserving the
   // original PSNs so the responder sees an in-order stream again.
   const std::size_t outstanding = conn.inflight.size();
@@ -391,7 +221,7 @@ void Hca::arm_timer(Conn& conn) {
 
 void Hca::on_timeout(int conn_id, std::uint64_t gen) {
   FABSIM_AUDIT_OWNED(engine(), check::Layer::kIb, port_, "Hca::on_timeout");
-  Conn& conn = *conns_[static_cast<std::size_t>(conn_id)];
+  Conn& conn = conn_at(conn_id);
   if (!conn.timer_armed || gen != conn.timer_gen) return;  // superseded
   conn.timer_armed = false;
   if (conn.inflight.empty()) return;
@@ -414,7 +244,7 @@ void Hca::on_timeout(int conn_id, std::uint64_t gen) {
 }
 
 void Hca::enter_error(Conn& conn) {
-  conn.qp->in_error_ = true;
+  set_error(*conn.qp);
   conn.timer_armed = false;
   ++conn.timer_gen;
   engine().trace(TraceCategory::kProto, node_->id(),
@@ -422,27 +252,13 @@ void Hca::enter_error(Conn& conn) {
                      " -> error state");
   // Flush outstanding signaled work requests with an error completion —
   // the RC contract when the transport retry counter is exhausted.
+  // Read requests are skipped: the pending-read flush below owns read
+  // completions (the request may or may not still be inflight; the list
+  // covers both). Read responses are responder-generated, with no local
+  // work request; the peer notification below errors the stranded
+  // requester out.
   for (const Packet& packet : conn.inflight) {
-    if (packet.kind == MsgKind::kReadResponse) {
-      // Responder-generated; no local work request to flush. The peer
-      // notification below errors the stranded requester out.
-      continue;
-    }
-    if (packet.kind == MsgKind::kReadRequest) {
-      // The pending-read flush below owns read completions (the request
-      // may or may not still be inflight; the list covers both).
-      continue;
-    }
-    if (!packet.last_of_message || !packet.signaled) continue;
-    verbs::Completion completion{};
-    completion.wr_id = packet.wr_id;
-    completion.byte_len = packet.msg_len;
-    completion.qp_num = conn.qp->qp_num();
-    completion.status = verbs::Completion::Status::kRetryExceeded;
-    completion.type = packet.kind == MsgKind::kUntagged ? verbs::Completion::Type::kSend
-                                                        : verbs::Completion::Type::kRdmaWrite;
-    conn.qp->send_cq_->push(completion);
-    ++retry_exceeded_completions_;
+    if (packet.completes_send()) flush_send(*conn.qp, packet.kind, packet.wr_id, packet.msg_len);
   }
   conn.inflight.clear();
 
@@ -457,46 +273,23 @@ void Hca::enter_error(Conn& conn) {
                           std::to_string(conn.pending_reads.size()) +
                           " RDMA read(s) still pending; flushing with kRetryExceeded");
     }
-    for (const Conn::PendingRead& read : conn.pending_reads) {
-      if (!read.signaled) continue;
-      verbs::Completion completion{};
-      completion.wr_id = read.wr_id;
-      completion.byte_len = read.len;
-      completion.qp_num = conn.qp->qp_num();
-      completion.status = verbs::Completion::Status::kRetryExceeded;
-      completion.type = verbs::Completion::Type::kRdmaRead;
-      conn.qp->send_cq_->push(completion);
-      ++retry_exceeded_completions_;
-    }
-    conn.pending_reads.clear();
+    flush_reads(conn);
   }
-
-  // The RQ drains with flush errors when a QP enters the error state —
-  // a receiver blocked on its recv CQ surfaces the failure instead of
-  // hanging on data that will never arrive.
-  for (const verbs::RecvWr& wr : conn.recv_queue) {
-    verbs::Completion completion{};
-    completion.wr_id = wr.wr_id;
-    completion.qp_num = conn.qp->qp_num();
-    completion.status = verbs::Completion::Status::kRetryExceeded;
-    completion.type = verbs::Completion::Type::kRecv;
-    conn.qp->recv_cq_->push(completion);
-    ++retry_exceeded_completions_;
-  }
-  conn.recv_queue.clear();
+  flush_recvs(conn);
 
   if (conn.peer != nullptr && !config_.mutation_strand_pending_reads) {
     // Out-of-band, like connect(): stands in for the peer-side teardown
     // (its own timeout exhaustion, or the CM disconnect event) that this
     // model elides. Without it a receiver whose sender died — or a read
-    // requester whose responder died — waits forever.
-    conn.peer->peer_conn_error(conn.peer_conn_id);
+    // requester whose responder died — waits forever. connect() pairs
+    // only devices of one type.
+    static_cast<Hca*>(conn.peer)->peer_conn_error(conn.peer_conn_id);
   }
 }
 
 void Hca::peer_conn_error(int conn_id) {
-  Conn& conn = *conns_.at(static_cast<std::size_t>(conn_id));
-  if (conn.qp->in_error_) return;
+  Conn& conn = conn_at(conn_id);
+  if (conn.qp->in_error()) return;
   engine().trace(TraceCategory::kProto, node_->id(),
                  "IB RC peer failure: QP " + std::to_string(conn.qp->qp_num()) +
                      " -> error state (responder died mid-response)");
@@ -518,14 +311,14 @@ void Hca::deliver(hw::Frame frame) {
     return;
   }
   Packet packet = std::any_cast<Packet>(std::move(frame.payload));
-  Conn& conn = *conns_.at(static_cast<std::size_t>(packet.dst_conn_id));
+  Conn& conn = conn_at(packet.dst_conn_id);
 
   if (packet.is_ack || packet.is_nak) {
     engine().charge_phase(Phase::kNic, node_->id(), config_.ack_proc);
     const Time done = proc_.book(engine().now(), config_.ack_proc);
     const int conn_id = packet.dst_conn_id;
     engine().post(done, /*scope=*/port_, [this, conn_id, packet] {
-      handle_ack_packet(*conns_[static_cast<std::size_t>(conn_id)], packet);
+      handle_ack_packet(conn_at(conn_id), packet);
     });
     return;
   }
@@ -569,7 +362,7 @@ void Hca::deliver(hw::Frame frame) {
     const Time ordered = dma_.book(processed, config_.dma_transaction);
     const int conn_id = packet.dst_conn_id;
     engine().post(ordered, /*scope=*/port_, [this, conn_id, packet = std::move(packet)] {
-      handle_read_request(*conns_[static_cast<std::size_t>(conn_id)], packet);
+      send_message(conn_at(conn_id), read_response(packet));
     });
     return;
   }
@@ -579,104 +372,10 @@ void Hca::deliver(hw::Frame frame) {
   engine().charge_phase(Phase::kNic, node_->id(), place_cost);
   const Time placed = dma_.book(processed, place_cost);
   const int conn_id = packet.dst_conn_id;
-  engine().post(placed, /*scope=*/port_, [this, conn_id, packet = std::move(packet)]() mutable {
-    complete_placement(*conns_[static_cast<std::size_t>(conn_id)], packet);
+  engine().post(placed, /*scope=*/port_, [this, conn_id, packet = std::move(packet)] {
+    Conn& c = conn_at(conn_id);
+    if (const verbs::RxMsg* rx = place(c, packet)) complete_message(c, packet, *rx);
   });
-}
-
-void Hca::handle_read_request(Conn& conn, const Packet& request) {
-  if (!registry_.covers(request.rkey, request.place_addr, request.read_len)) {
-    // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-    throw std::invalid_argument("ib: RDMA read source not covered by rkey");
-  }
-  OutMsg response{};
-  response.kind = MsgKind::kReadResponse;
-  response.wr_id = request.wr_id;
-  response.signaled = true;
-  response.len = request.read_len;
-  response.remote_addr = request.read_sink_addr;
-  response.rkey = request.read_sink_key;
-  response.data = snapshot(node_->mem(), request.place_addr, request.read_len);
-  send_message(conn, std::move(response));
-}
-
-void Hca::complete_placement(Conn& conn, const Packet& packet) {
-  RxMsg& rx = conn.rx_msgs[packet.msg_id];
-
-  std::uint64_t addr = 0;
-  if (packet.kind == MsgKind::kUntagged) {
-    if (packet.msg_offset == 0) {
-      if (conn.recv_queue.empty()) {
-        // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-        throw std::logic_error("ib: untagged message with no posted receive (RNR)");
-      }
-      const verbs::RecvWr wr = conn.recv_queue.front();
-      conn.recv_queue.pop_front();
-      if (wr.sge.length < packet.msg_len) {
-        // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-        throw std::length_error("ib: posted receive buffer too small");
-      }
-      rx.target_addr = wr.sge.addr;
-      rx.recv_wr_id = wr.wr_id;
-    }
-    addr = rx.target_addr + packet.msg_offset;
-  } else {
-    if (!registry_.covers(packet.rkey, packet.place_addr, packet.payload_len)) {
-      // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-      throw std::invalid_argument("ib: tagged placement not covered by rkey");
-    }
-    addr = packet.place_addr;
-    if (packet.msg_offset == 0) rx.target_addr = packet.place_addr;
-  }
-
-  if (packet.data != nullptr) {
-    node_->mem().write(addr, *packet.data);
-  } else if (hw::Buffer* buffer = node_->mem().find(addr);
-             buffer == nullptr || addr + packet.payload_len > buffer->addr() + buffer->size()) {
-    // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-    throw std::out_of_range("ib: placement outside any buffer");
-  }
-
-  rx.placed += packet.payload_len;
-  if (rx.placed < packet.msg_len) return;
-
-  const std::uint64_t base = rx.target_addr;
-  const std::uint64_t recv_wr_id = rx.recv_wr_id;
-  conn.rx_msgs.erase(packet.msg_id);
-  switch (packet.kind) {
-    case MsgKind::kUntagged:
-      conn.qp->recv_cq_->push(verbs::Completion{recv_wr_id, verbs::Completion::Type::kRecv,
-                                                packet.msg_len, conn.qp->qp_num()});
-      break;
-    case MsgKind::kReadResponse:
-      // The read is complete; it no longer needs error-flush coverage.
-      for (auto it = conn.pending_reads.begin(); it != conn.pending_reads.end(); ++it) {
-        if (it->wr_id == packet.wr_id) {
-          conn.pending_reads.erase(it);
-          break;
-        }
-      }
-      conn.qp->send_cq_->push(verbs::Completion{packet.wr_id, verbs::Completion::Type::kRdmaRead,
-                                                packet.msg_len, conn.qp->qp_num()});
-      check_watches(base, packet.msg_len);
-      break;
-    case MsgKind::kTaggedWrite:
-      check_watches(base, packet.msg_len);
-      break;
-    case MsgKind::kReadRequest:
-      break;
-  }
-}
-
-void Hca::check_watches(std::uint64_t addr, std::uint32_t len) {
-  for (auto it = watches_.begin(); it != watches_.end();) {
-    if (it->addr >= addr && it->addr + it->len <= addr + len) {
-      it->event->trigger();
-      it = watches_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace fabsim::ib

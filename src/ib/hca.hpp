@@ -17,74 +17,32 @@
 // gap), and the requester keeps a retransmit queue with a backed-off
 // retry timer. Exhausting the retry counter moves the QP to the error
 // state and surfaces error completions — the real RC failure contract.
+//
+// The verbs message layer (registration, QPs, work-request translation,
+// placement and completion) is verbs::Device's; this class is the
+// transport under it.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <map>
 #include <memory>
-#include <vector>
 
 #include "fault/injector.hpp"
-#include "hw/fabric.hpp"
-#include "hw/node.hpp"
 #include "ib/config.hpp"
 #include "sim/scope.hpp"
 #include "verbs/verbs.hpp"
 
 namespace fabsim::ib {
 
-class Hca;
-
-class Qp final : public verbs::QueuePair {
- public:
-  Task<> post_send(verbs::SendWr wr) override;
-  Task<> post_recv(verbs::RecvWr wr) override;
-  int qp_num() const override { return qp_num_; }
-  bool connected() const override { return conn_id_ >= 0; }
-  bool in_error() const override { return in_error_; }
-
- private:
-  friend class Hca;
-  Qp(Hca& nic, int qp_num, verbs::CompletionQueue& send_cq, verbs::CompletionQueue& recv_cq)
-      : nic_(&nic), qp_num_(qp_num), send_cq_(&send_cq), recv_cq_(&recv_cq) {}
-
-  FABSIM_ENGINE_LOCAL;  // wiring fixed at create_qp/connect time
-  Hca* nic_;
-  int qp_num_;
-  FABSIM_OWNED_BY(nic_->fabric_port());  // QP state advances only inside
-                                         // the owning HCA's events
-  int conn_id_ = -1;
-  bool in_error_ = false;
-  verbs::CompletionQueue* send_cq_;
-  verbs::CompletionQueue* recv_cq_;
-};
-
-class Hca final : public verbs::Device, public hw::FrameSink {
+class Hca final : public verbs::Device {
  public:
   Hca(hw::Node& node, hw::Switch& fabric, HcaConfig config);
-
-  // --- verbs::Device ---
-  Task<verbs::MrKey> reg_mr(std::uint64_t addr, std::uint64_t len) override;
-  Task<> dereg_mr(verbs::MrKey key) override;
-  std::unique_ptr<verbs::QueuePair> create_qp(verbs::CompletionQueue& send_cq,
-                                              verbs::CompletionQueue& recv_cq) override;
-  std::shared_ptr<Event> watch_placement(std::uint64_t addr, std::uint64_t len) override;
-  hw::MemoryRegistry& registry() override { return registry_; }
-  void establish(verbs::QueuePair& local, verbs::QueuePair& remote) override {
-    connect(local, remote);
-  }
 
   // --- hw::FrameSink ---
   void deliver(hw::Frame frame) override;
 
-  /// Out-of-band RC connection establishment.
-  static void connect(verbs::QueuePair& a, verbs::QueuePair& b);
-
-  hw::Node& node() { return *node_; }
   const HcaConfig& config() const { return config_; }
-  int fabric_port() const { return port_; }
 
   // Statistics for tests and utilization studies.
   Time proc_busy_time() const { return proc_.busy_time(); }
@@ -99,71 +57,22 @@ class Hca final : public verbs::Device, public hw::FrameSink {
   std::uint64_t rto_fires() const { return rto_fires_; }
   std::uint64_t retransmitted_bytes() const { return retransmitted_bytes_; }
   std::uint64_t corrupt_discards() const { return corrupt_discards_; }
-  /// Error completions flushed with kRetryExceeded (inflight + pending
-  /// reads) when a QP entered the error state.
-  std::uint64_t retry_exceeded_completions() const { return retry_exceeded_completions_; }
 
  private:
-  friend class Qp;
+  using MsgKind = verbs::MsgKind;
 
-  enum class MsgKind : std::uint8_t { kUntagged, kTaggedWrite, kReadRequest, kReadResponse };
-
-  struct Packet {
-    int dst_conn_id = -1;
-    MsgKind kind = MsgKind::kUntagged;
+  struct Packet : verbs::MsgHeader {
     // Reliability header (meaningful only while faults are armed).
     std::uint64_t psn = 0;
     bool is_ack = false;       ///< pure acknowledgement packet
     bool is_nak = false;       ///< sequence-gap NAK (ack_psn = expected)
     std::uint64_t ack_psn = 0; ///< cumulative: all PSNs below are acked
-    std::uint64_t msg_id = 0;
-    std::uint32_t msg_len = 0;
-    std::uint32_t msg_offset = 0;
-    std::uint32_t payload_len = 0;
-    std::uint64_t place_addr = 0;  ///< tagged target / read source
-    verbs::MrKey rkey = 0;
-    std::uint64_t wr_id = 0;
-    bool signaled = true;
-    bool first_of_message = false;
-    bool last_of_message = false;
-    std::uint64_t read_sink_addr = 0;
-    verbs::MrKey read_sink_key = 0;
-    std::uint32_t read_len = 0;
-    std::shared_ptr<std::vector<std::byte>> data;
   };
 
-  struct OutMsg {
-    MsgKind kind = MsgKind::kUntagged;
-    std::uint64_t wr_id = 0;
-    bool signaled = true;
-    std::uint32_t len = 0;
-    std::uint64_t remote_addr = 0;
-    verbs::MrKey rkey = 0;
-    std::uint64_t read_sink_addr = 0;
-    verbs::MrKey read_sink_key = 0;
-    std::uint32_t read_len = 0;
-    std::shared_ptr<std::vector<std::byte>> data;
-  };
-
-  struct RxMsg {
-    std::uint32_t placed = 0;
-    std::uint64_t target_addr = 0;
-    std::uint64_t recv_wr_id = 0;
-  };
-
-  struct Conn {
-    FABSIM_ENGINE_LOCAL;  // wiring fixed at connect() time
-    Qp* qp = nullptr;
-    Hca* peer = nullptr;
-    int id = -1;  ///< own index in conns_
-    int peer_conn_id = -1;
-    FABSIM_OWNED_BY(qp->nic_->fabric_port());  // RC machine state: advances
-                                               // only inside the owning
-                                               // HCA's events
-    std::uint64_t next_msg_id = 1;
-    std::map<std::uint64_t, RxMsg> rx_msgs;
-    std::deque<verbs::RecvWr> recv_queue;
-
+  struct Conn : verbs::Conn {
+    FABSIM_OWNED_BY(qp->device_->fabric_port());  // RC machine state: advances
+                                                  // only inside the owning
+                                                  // HCA's events
     // RC reliability (active only while a fault injector is armed).
     std::uint64_t snd_psn = 0;        ///< next PSN to assign (requester)
     std::uint64_t exp_psn = 0;        ///< next PSN expected (responder)
@@ -173,33 +82,14 @@ class Hca final : public verbs::Device, public hw::FrameSink {
     int retry_count = 0;              ///< consecutive RTO rounds
     std::uint32_t pkts_since_ack = 0; ///< responder-side ack coalescing
     bool nak_outstanding = false;     ///< one NAK per gap, not per packet
-
-    /// RDMA Reads posted but not yet completed by a read response. The
-    /// request packet leaves `inflight` as soon as the responder acks
-    /// it, so without this list a QP entering the error state with the
-    /// response still missing would silently strand the read's
-    /// completion (and under-count kRetryExceeded).
-    struct PendingRead {
-      std::uint64_t wr_id = 0;
-      std::uint32_t len = 0;
-      bool signaled = true;
-    };
-    std::deque<PendingRead> pending_reads;
   };
 
-  struct Watch {
-    std::uint64_t addr;
-    std::uint64_t len;
-    std::shared_ptr<Event> event;
-  };
+  // --- verbs::Device transport hooks ---
+  std::unique_ptr<verbs::Conn> make_conn() override { return std::make_unique<Conn>(); }
+  void submit(verbs::Conn& conn, verbs::Message msg) override;
 
-  Task<> post_send_impl(Qp& qp, verbs::SendWr wr);
-  Task<> post_recv_impl(Qp& qp, verbs::RecvWr wr);
-  static std::shared_ptr<std::vector<std::byte>> snapshot(hw::AddressSpace& mem,
-                                                          std::uint64_t addr, std::uint32_t len);
-
-  int new_conn(Qp& qp);
-  void send_message(Conn& conn, OutMsg msg);
+  Conn& conn_at(int id) { return static_cast<Conn&>(*conns().at(static_cast<std::size_t>(id))); }
+  void send_message(Conn& conn, verbs::Message msg);
   /// Push one packet through DMA -> engine -> link and onto the fabric.
   void transmit_packet(Conn& conn, Packet packet, bool retransmit);
   void send_ack(Conn& conn, bool nak);
@@ -219,28 +109,16 @@ class Hca final : public verbs::Device, public hw::FrameSink {
   /// Accesses the QP context cache for first-of-message packets.
   Time engine_process(Time ready, const Packet& packet, bool transmit_side, int local_conn_id);
   Time context_access(int conn_id);
-  void handle_read_request(Conn& conn, const Packet& request);
-  void complete_placement(Conn& conn, const Packet& packet);
-  void check_watches(std::uint64_t addr, std::uint32_t len);
-
-  Engine& engine() { return node_->engine(); }
 
   // Scope/ownership annotations (scripts/scope_check.py, src/sim/scope.hpp).
-  FABSIM_ENGINE_LOCAL;  // engine plumbing + run-constant wiring
-  hw::Node* node_;
-  hw::Switch* fabric_;
+  FABSIM_ENGINE_LOCAL;  // run-constant configuration
   HcaConfig config_;
-  int port_;
   FABSIM_OWNED_BY(port_);  // mutable HCA/protocol state: confined to this
                            // node's events (or scope -1 wire handoffs)
-  hw::MemoryRegistry registry_;
   SerialServer dma_;     ///< NIC DMA engine, shared by both directions
   SerialServer proc_;    ///< processor-based protocol engine, shared
   SerialServer tx_link_;
   std::list<int> context_lru_;  ///< most-recent at front; values are conn ids
-  int next_qp_num_ = 1;
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::vector<Watch> watches_;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t context_misses_ = 0;
   std::uint64_t context_hits_ = 0;
@@ -250,7 +128,6 @@ class Hca final : public verbs::Device, public hw::FrameSink {
   std::uint64_t rto_fires_ = 0;
   std::uint64_t retransmitted_bytes_ = 0;
   std::uint64_t corrupt_discards_ = 0;
-  std::uint64_t retry_exceeded_completions_ = 0;
 };
 
 }  // namespace fabsim::ib

@@ -1,175 +1,47 @@
 #include "iwarp/rnic.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <stdexcept>
+#include <string>
 
 #include "check/audits.hpp"
 
 namespace fabsim::iwarp {
 
-namespace {
-/// Stream bytes consumed by an RDMA Read Request control message.
-constexpr std::uint32_t kReadRequestBytes = 28;
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// Qp
-// ---------------------------------------------------------------------------
-
-Task<> Qp::post_send(verbs::SendWr wr) { return nic_->post_send_impl(*this, wr); }
-
-Task<> Qp::post_recv(verbs::RecvWr wr) { return nic_->post_recv_impl(*this, wr); }
-
-// ---------------------------------------------------------------------------
-// Rnic: construction / verbs surface
+// Construction / doorbell
 // ---------------------------------------------------------------------------
 
 Rnic::Rnic(hw::Node& node, hw::Switch& fabric, RnicConfig config)
-    : node_(&node),
-      fabric_(&fabric),
+    : verbs::Device("iwarp", node, fabric, config.reg, config.post_send_cpu,
+                    config.post_recv_cpu),
       config_(config),
-      port_(fabric.attach(*this)),
-      registry_(config.reg),
       pcix_(config.pcix),
       loss_plan_(config.rng_seed) {
   if (config_.loss_rate > 0.0) loss_plan_.drop_probability(config_.loss_rate);
   pcix_.set_owner(&node.engine(), node.id());
 }
 
-Task<verbs::MrKey> Rnic::reg_mr(std::uint64_t addr, std::uint64_t len) {
-  co_await node_->cpu().compute(registry_.register_cost(len));
-  co_return registry_.register_region(addr, len);
-}
-
-Task<> Rnic::dereg_mr(verbs::MrKey key) {
-  const auto* region = registry_.lookup(key);
-  if (region == nullptr) throw std::invalid_argument("iwarp: dereg_mr of unknown key");
-  const Time cost = registry_.deregister_cost(region->len);
-  registry_.deregister(key);
-  co_await node_->cpu().compute(cost);
-}
-
-std::unique_ptr<verbs::QueuePair> Rnic::create_qp(verbs::CompletionQueue& send_cq,
-                                                  verbs::CompletionQueue& recv_cq) {
-  return std::unique_ptr<Qp>(new Qp(*this, next_qp_num_++, send_cq, recv_cq));
-}
-
-std::shared_ptr<Event> Rnic::watch_placement(std::uint64_t addr, std::uint64_t len) {
-  auto event = std::make_shared<Event>(engine());
-  watches_.push_back(Watch{addr, len, event});
-  return event;
-}
-
-void Rnic::connect(verbs::QueuePair& a, verbs::QueuePair& b) {
-  auto& qa = dynamic_cast<Qp&>(a);
-  auto& qb = dynamic_cast<Qp&>(b);
-  if (qa.connected() || qb.connected()) throw std::logic_error("iwarp: QP already connected");
-  const int ca = qa.nic_->new_conn(qa);
-  const int cb = qb.nic_->new_conn(qb);
-  Conn& conn_a = *qa.nic_->conns_[static_cast<std::size_t>(ca)];
-  Conn& conn_b = *qb.nic_->conns_[static_cast<std::size_t>(cb)];
-  conn_a.peer = qb.nic_;
-  conn_a.peer_conn_id = cb;
-  conn_b.peer = qa.nic_;
-  conn_b.peer_conn_id = ca;
-  qa.conn_id_ = ca;
-  qb.conn_id_ = cb;
-}
-
-int Rnic::new_conn(Qp& qp) {
-  conns_.push_back(std::make_unique<Conn>());
-  conns_.back()->qp = &qp;
-  return static_cast<int>(conns_.size()) - 1;
-}
-
-// ---------------------------------------------------------------------------
-// Host-facing post paths
-// ---------------------------------------------------------------------------
-
-Task<> Rnic::post_send_impl(Qp& qp, verbs::SendWr wr) {
-  if (!qp.connected()) throw std::logic_error("iwarp: post_send on unconnected QP");
-  if (qp.in_error_) throw std::runtime_error("iwarp: post_send on QP in error state");
-  if (wr.sge.length == 0) throw std::invalid_argument("iwarp: zero-length work request");
-  if (!registry_.covers(wr.sge.lkey, wr.sge.addr, wr.sge.length)) {
-    throw std::invalid_argument("iwarp: sge not covered by lkey");
-  }
-  co_await node_->cpu().compute(config_.post_send_cpu);
-
-  OutMsg msg{};
-  msg.wr_id = wr.wr_id;
-  msg.signaled = wr.signaled;
-  switch (wr.opcode) {
-    case verbs::Opcode::kSend:
-      msg.kind = MsgKind::kUntagged;
-      msg.len = wr.sge.length;
-      break;
-    case verbs::Opcode::kRdmaWrite:
-      msg.kind = MsgKind::kTaggedWrite;
-      msg.len = wr.sge.length;
-      msg.remote_addr = wr.remote_addr;
-      msg.rkey = wr.rkey;
-      break;
-    case verbs::Opcode::kRdmaRead:
-      msg.kind = MsgKind::kReadRequest;
-      msg.len = kReadRequestBytes;
-      msg.remote_addr = wr.remote_addr;  // remote source
-      msg.rkey = wr.rkey;
-      msg.read_sink_addr = wr.sge.addr;  // local sink
-      msg.read_sink_key = wr.sge.lkey;
-      msg.read_len = wr.sge.length;
-      break;
-  }
-  if (wr.opcode != verbs::Opcode::kRdmaRead) {
-    msg.data = snapshot(node_->mem(), wr.sge.addr, wr.sge.length);
-  }
-
-  const int conn_id = qp.conn_id_;
+void Rnic::submit(verbs::Conn& posted, verbs::Message msg) {
+  const int conn_id = posted.id;
   // Doorbell: the NIC picks the WQE up `doorbell` later; the host call
   // returns immediately after ringing it.
   // Scope label: node-confined continuation (see sim/schedule.hpp); the
   // wire handoffs below stay unscoped because they touch the switch.
   engine().post(engine().now() + config_.doorbell, /*scope=*/port_,
                 [this, conn_id, msg = std::move(msg)]() mutable {
-                  Conn& conn = *conns_[static_cast<std::size_t>(conn_id)];
-                  if (conn.qp->in_error_) {
+                  Conn& conn = conn_at(conn_id);
+                  OutMsg out{std::move(msg)};
+                  if (conn.qp->in_error()) {
                     // Raced the error transition: flush instead of queueing.
-                    flush_outmsg(conn, msg);
+                    flush_outmsg(conn, out);
                     return;
                   }
-                  msg.msg_id = conn.next_msg_id++;
-                  if (msg.kind == MsgKind::kReadRequest) {
-                    // HOT-OK(pending-read list bounded by outstanding RDMA reads)
-                    conn.pending_reads.push_back(
-                        PendingRead{msg.wr_id, msg.read_len, msg.signaled});
-                  }
+                  out.msg_id = conn.next_msg_id++;
+                  if (out.kind == MsgKind::kReadRequest) conn.track_read(out);
                   // HOT-OK(send queue bounded by posted WRs; capacity reused after warm-up)
-                  conn.sendq.push_back(std::move(msg));
+                  conn.sendq.push_back(std::move(out));
                   pump(conn);
                 });
-}
-
-Task<> Rnic::post_recv_impl(Qp& qp, verbs::RecvWr wr) {
-  if (!qp.connected()) throw std::logic_error("iwarp: post_recv on unconnected QP");
-  if (qp.in_error_) throw std::runtime_error("iwarp: post_recv on QP in error state");
-  if (!registry_.covers(wr.sge.lkey, wr.sge.addr, wr.sge.length)) {
-    throw std::invalid_argument("iwarp: recv sge not covered by lkey");
-  }
-  co_await node_->cpu().compute(config_.post_recv_cpu);
-  conns_[static_cast<std::size_t>(qp.conn_id_)]->recv_queue.push_back(wr);
-}
-
-std::shared_ptr<std::vector<std::byte>> Rnic::snapshot(hw::AddressSpace& mem, std::uint64_t addr,
-                                                       std::uint32_t len) {
-  hw::Buffer* buffer = mem.find(addr);
-  if (buffer == nullptr || addr + len > buffer->addr() + buffer->size()) {
-    // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-    throw std::out_of_range("iwarp: source outside any buffer");
-  }
-  if (!buffer->has_data()) return nullptr;
-  auto view = mem.window(addr, len);
-  // HOT-OK(per-message wire payload snapshot; stack-level state outside the engine's tracked zero-alloc contract)
-  return std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -179,7 +51,7 @@ std::shared_ptr<std::vector<std::byte>> Rnic::snapshot(hw::AddressSpace& mem, st
 void Rnic::pump(Conn& conn) {
   // Scope trap: all transmit-side NIC state is FABSIM_OWNED_BY(port_).
   FABSIM_AUDIT_OWNED(engine(), check::Layer::kIwarp, port_, "Rnic::pump");
-  if (conn.qp->in_error_) return;
+  if (conn.qp->in_error()) return;
   while (!conn.sendq.empty()) {
     OutMsg& msg = conn.sendq.front();
     while (msg.offset < msg.len) {
@@ -192,32 +64,9 @@ void Rnic::pump(Conn& conn) {
 }
 
 FABSIM_HOT void Rnic::emit_segment(Conn& conn, OutMsg& msg, std::uint32_t chunk) {
-  Segment segment{};
-  segment.dst_conn_id = conn.peer_conn_id;
+  Segment segment{verbs::chunk_header(msg, msg.msg_id, msg.offset, chunk, conn.peer_conn_id)};
   segment.seq = conn.snd_nxt;
-  segment.payload_len = chunk;
   segment.ack = conn.rcv_nxt;  // piggybacked cumulative ack
-  segment.kind = msg.kind;
-  segment.msg_id = msg.msg_id;
-  segment.msg_len = msg.len;
-  segment.msg_offset = msg.offset;
-  segment.rkey = msg.rkey;
-  segment.wr_id = msg.wr_id;
-  segment.signaled = msg.signaled;
-  segment.read_sink_addr = msg.read_sink_addr;
-  segment.read_sink_key = msg.read_sink_key;
-  segment.read_len = msg.read_len;
-  segment.first_of_message = msg.first_segment_pending;
-  if (msg.kind == MsgKind::kTaggedWrite || msg.kind == MsgKind::kReadResponse) {
-    segment.place_addr = msg.remote_addr + msg.offset;
-  } else if (msg.kind == MsgKind::kReadRequest) {
-    segment.place_addr = msg.remote_addr;  // remote source (see remote_source_addr())
-  }
-  if (msg.data != nullptr) {
-    // HOT-OK(per-segment wire payload buffer; stack-level state outside the engine's tracked zero-alloc contract)
-    segment.data = std::make_shared<std::vector<std::byte>>(
-        msg.data->begin() + msg.offset, msg.data->begin() + msg.offset + chunk);
-  }
   if (check::InvariantMonitor* monitor = engine().monitor()) {
     // TCP window legality: pump() already refused segments that do not
     // fit, so an overrun here means the sliding-window bookkeeping broke.
@@ -225,8 +74,6 @@ FABSIM_HOT void Rnic::emit_segment(Conn& conn, OutMsg& msg, std::uint32_t chunk)
         .report(monitor, engine().now(), check::Layer::kIwarp, node_->id());
   }
   msg.offset += chunk;
-  msg.first_segment_pending = false;
-  segment.last_of_message = (msg.offset == msg.len);
   conn.snd_nxt += chunk;
   // HOT-OK(inflight window bounded by the send window; capacity reused after warm-up)
   conn.inflight.push_back(segment);
@@ -288,26 +135,18 @@ void Rnic::transmit(Conn& conn, Segment segment, bool retransmit) {
   engine().charge_phase(Phase::kWire, node_->id(), serialization);
   const Time sent = tx_link_.book(engine_done, serialization);
 
+  const int src = port_;
+  const int dst = conn.peer->fabric_port();
   bool drop = false;
   if (config_.loss_rate > 0.0) {
-    const fault::FaultSite site{engine().now(), port_, conn.peer->port_, wire_bytes};
+    const fault::FaultSite site{engine().now(), src, dst, wire_bytes};
     drop = loss_plan_.on_frame(site).action == fault::FaultAction::kDrop;
   }
-  const bool completes = segment.last_of_message && segment.signaled &&
-                         (segment.kind == MsgKind::kUntagged ||
-                          segment.kind == MsgKind::kTaggedWrite) &&
-                         !retransmit;
-  Qp* qp = conn.qp;
-  Rnic* peer = conn.peer;
-  const int src = port_;
-  const int dst = peer->port_;
-  engine().post(sent, [this, segment = std::move(segment), drop, completes, qp, peer, src,
+  const bool completes = segment.completes_send() && !retransmit;
+  verbs::QueuePair* qp = conn.qp;
+  engine().post(sent, [this, segment = std::move(segment), drop, completes, qp, src,
                        dst]() mutable {
-    if (completes) {
-      const auto type = segment.kind == MsgKind::kUntagged ? verbs::Completion::Type::kSend
-                                                           : verbs::Completion::Type::kRdmaWrite;
-      qp->send_cq_->push(verbs::Completion{segment.wr_id, type, segment.msg_len, qp->qp_num()});
-    }
+    if (completes) complete_send(*qp, segment);
     if (!drop) {
       fabric_->ingress(hw::Frame{src, dst, segment.payload_len + config_.seg_overhead,
                                  std::move(segment)});
@@ -325,17 +164,15 @@ void Rnic::send_pure_ack(Conn& conn) {
   const Time ack_serialization = fabric_->config().link_rate.bytes_time(config_.ack_wire_bytes);
   engine().charge_phase(Phase::kWire, node_->id(), ack_serialization);
   const Time sent = tx_link_.book(engine().now(), ack_serialization);
+  const int src = port_;
+  const int dst = conn.peer->fabric_port();
   bool drop = false;
   if (config_.loss_rate > 0.0) {
-    const fault::FaultSite site{engine().now(), port_, conn.peer->port_, config_.ack_wire_bytes};
+    const fault::FaultSite site{engine().now(), src, dst, config_.ack_wire_bytes};
     drop = loss_plan_.on_frame(site).action == fault::FaultAction::kDrop;
   }
-  Rnic* peer = conn.peer;
-  const int src = port_;
-  engine().post(sent, [this, ack = std::move(ack), drop, peer, src]() mutable {
-    if (!drop) {
-      fabric_->ingress(hw::Frame{src, peer->port_, config_.ack_wire_bytes, std::move(ack)});
-    }
+  engine().post(sent, [this, ack = std::move(ack), drop, src, dst]() mutable {
+    if (!drop) fabric_->ingress(hw::Frame{src, dst, config_.ack_wire_bytes, std::move(ack)});
   });
 }
 
@@ -372,22 +209,14 @@ void Rnic::arm_timer(Conn& conn) {
   if (conn.timer_armed || !lossy) return;
   conn.timer_armed = true;
   const std::uint64_t gen = conn.timer_gen;
-  const int conn_id = conn_index(conn);
+  const int conn_id = conn.id;
   engine().post(engine().now() + config_.rto, /*scope=*/port_,
                 [this, conn_id, gen] { on_timeout(conn_id, gen); });
 }
 
-int Rnic::conn_index(const Conn& conn) const {
-  for (std::size_t i = 0; i < conns_.size(); ++i) {
-    if (conns_[i].get() == &conn) return static_cast<int>(i);
-  }
-  // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-  throw std::logic_error("iwarp: unknown connection");
-}
-
 void Rnic::on_timeout(int conn_id, std::uint64_t gen) {
   FABSIM_AUDIT_OWNED(engine(), check::Layer::kIwarp, port_, "Rnic::on_timeout");
-  Conn& conn = *conns_[static_cast<std::size_t>(conn_id)];
+  Conn& conn = conn_at(conn_id);
   if (gen != conn.timer_gen || conn.snd_una >= conn.snd_nxt) return;
   conn.timer_armed = false;
   ++rto_fires_;
@@ -413,34 +242,16 @@ void Rnic::on_timeout(int conn_id, std::uint64_t gen) {
 }
 
 void Rnic::flush_outmsg(Conn& conn, const OutMsg& msg) {
+  // A read response is responder-generated: the requester's side owns
+  // the error.
   if (!msg.signaled || msg.kind == MsgKind::kReadResponse) return;
-  verbs::Completion completion{};
-  completion.wr_id = msg.wr_id;
-  completion.qp_num = conn.qp->qp_num();
-  completion.status = verbs::Completion::Status::kRetryExceeded;
-  switch (msg.kind) {
-    case MsgKind::kUntagged:
-      completion.type = verbs::Completion::Type::kSend;
-      completion.byte_len = msg.len;
-      break;
-    case MsgKind::kTaggedWrite:
-      completion.type = verbs::Completion::Type::kRdmaWrite;
-      completion.byte_len = msg.len;
-      break;
-    case MsgKind::kReadRequest:
-      completion.type = verbs::Completion::Type::kRdmaRead;
-      completion.byte_len = msg.read_len;
-      break;
-    case MsgKind::kReadResponse:
-      return;  // responder-generated: the requester's side owns the error
-  }
-  conn.qp->send_cq_->push(completion);
-  ++retry_exceeded_completions_;
+  const bool read = msg.kind == MsgKind::kReadRequest;
+  flush_send(*conn.qp, msg.kind, msg.wr_id, read ? msg.read_len : msg.len);
 }
 
 void Rnic::enter_error(Conn& conn) {
-  if (conn.qp->in_error_) return;
-  conn.qp->in_error_ = true;
+  if (conn.qp->in_error()) return;
+  set_error(*conn.qp);
   conn.timer_armed = false;
   ++conn.timer_gen;
   ++conn_errors_;
@@ -452,54 +263,24 @@ void Rnic::enter_error(Conn& conn) {
   // owe a completion. Read requests are owned by the pending-read list;
   // drop their sendq duplicates first so they flush exactly once.
   for (const OutMsg& msg : conn.sendq) {
-    if (msg.kind == MsgKind::kReadRequest) {
-      for (auto it = conn.pending_reads.begin(); it != conn.pending_reads.end(); ++it) {
-        if (it->wr_id == msg.wr_id) {
-          conn.pending_reads.erase(it);
-          break;
-        }
-      }
-    }
+    if (msg.kind == MsgKind::kReadRequest) conn.retire_read(msg.wr_id);
     flush_outmsg(conn, msg);
   }
   conn.sendq.clear();
   conn.inflight.clear();
   // Reads whose request is already on the wire (or acked) but whose
-  // response will never arrive.
-  for (const PendingRead& read : conn.pending_reads) {
-    if (!read.signaled) continue;
-    verbs::Completion completion{};
-    completion.wr_id = read.wr_id;
-    completion.byte_len = read.len;
-    completion.qp_num = conn.qp->qp_num();
-    completion.status = verbs::Completion::Status::kRetryExceeded;
-    completion.type = verbs::Completion::Type::kRdmaRead;
-    conn.qp->send_cq_->push(completion);
-    ++retry_exceeded_completions_;
-  }
-  conn.pending_reads.clear();
-  // A dead connection also flushes posted receives (the RQ drains with
-  // flush errors when a QP enters error) — a receiver blocked on its
-  // recv CQ surfaces the failure instead of hanging.
-  for (const verbs::RecvWr& wr : conn.recv_queue) {
-    verbs::Completion completion{};
-    completion.wr_id = wr.wr_id;
-    completion.qp_num = conn.qp->qp_num();
-    completion.status = verbs::Completion::Status::kRetryExceeded;
-    completion.type = verbs::Completion::Type::kRecv;
-    conn.qp->recv_cq_->push(completion);
-    ++retry_exceeded_completions_;
-  }
-  conn.recv_queue.clear();
+  // response will never arrive, then the posted receives.
+  flush_reads(conn);
+  flush_recvs(conn);
   // Out-of-band peer notification: stands in for the RST the peer's TCP
   // would see (or its own retry exhaustion) — both sides observe the
-  // teardown, neither hangs.
-  if (conn.peer != nullptr) conn.peer->peer_conn_error(conn.peer_conn_id);
+  // teardown, neither hangs. connect() pairs only devices of one type.
+  if (conn.peer != nullptr) static_cast<Rnic*>(conn.peer)->peer_conn_error(conn.peer_conn_id);
 }
 
 void Rnic::peer_conn_error(int conn_id) {
-  Conn& conn = *conns_.at(static_cast<std::size_t>(conn_id));
-  if (conn.qp->in_error_) return;
+  Conn& conn = conn_at(conn_id);
+  if (conn.qp->in_error()) return;
   engine().trace(TraceCategory::kProto, node_->id(),
                  "TCP peer failure: QP " + std::to_string(conn.qp->qp_num()) +
                      " -> error state (connection reset by peer)");
@@ -521,8 +302,8 @@ void Rnic::deliver(hw::Frame frame) {
     return;
   }
   Segment segment = std::any_cast<Segment>(std::move(frame.payload));
-  Conn& conn = *conns_.at(static_cast<std::size_t>(segment.dst_conn_id));
-  if (conn.qp->in_error_) return;  // dead connection: late arrivals discarded
+  Conn& conn = conn_at(segment.dst_conn_id);
+  if (conn.qp->in_error()) return;  // dead connection: late arrivals discarded
 
   handle_ack(conn, segment.ack);
   if (segment.payload_len == 0) {
@@ -557,7 +338,7 @@ void Rnic::deliver(hw::Frame frame) {
     conn.delack_armed = true;
     const int conn_id = segment.dst_conn_id;
     engine().post(engine().now() + config_.delayed_ack_timeout, /*scope=*/port_, [this, conn_id] {
-      Conn& c = *conns_[static_cast<std::size_t>(conn_id)];
+      Conn& c = conn_at(conn_id);
       c.delack_armed = false;
       if (c.segs_since_ack > 0) send_pure_ack(c);
     });
@@ -571,7 +352,7 @@ void Rnic::deliver(hw::Frame frame) {
     const Time ordered = node_->pcie().dma_write(pcix_done, 8);
     const int conn_id = segment.dst_conn_id;
     engine().post(ordered, /*scope=*/port_, [this, conn_id, segment = std::move(segment)] {
-      handle_read_request(*conns_[static_cast<std::size_t>(conn_id)], segment);
+      handle_read_request(conn_at(conn_id), segment);
     });
     return;
   }
@@ -581,24 +362,13 @@ void Rnic::deliver(hw::Frame frame) {
   const Time placed = node_->pcie().dma_write(pcix_done, segment.payload_len + 64);
   const int conn_id = segment.dst_conn_id;
   engine().post(placed, /*scope=*/port_, [this, conn_id, segment = std::move(segment)]() mutable {
-    complete_placement(*conns_[static_cast<std::size_t>(conn_id)], segment);
+    complete_placement(conn_at(conn_id), segment);
   });
 }
 
 void Rnic::handle_read_request(Conn& conn, const Segment& request) {
-  if (conn.qp->in_error_) return;
-  if (!registry_.covers(request.rkey, request.remote_source_addr(), request.read_len)) {
-    // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-    throw std::invalid_argument("iwarp: RDMA read source not covered by rkey");
-  }
-  OutMsg response{};
-  response.kind = MsgKind::kReadResponse;
-  response.wr_id = request.wr_id;
-  response.signaled = true;
-  response.len = request.read_len;
-  response.remote_addr = request.read_sink_addr;
-  response.rkey = request.read_sink_key;
-  response.data = snapshot(node_->mem(), request.remote_source_addr(), request.read_len);
+  if (conn.qp->in_error()) return;
+  OutMsg response{read_response(request)};
   response.msg_id = conn.next_msg_id++;
   // HOT-OK(read-response send queue bounded by outstanding reads)
   conn.sendq.push_back(std::move(response));
@@ -606,102 +376,34 @@ void Rnic::handle_read_request(Conn& conn, const Segment& request) {
 }
 
 void Rnic::complete_placement(Conn& conn, const Segment& segment) {
-  if (conn.qp->in_error_) return;
-  RxMsg& rx = conn.rx_msgs[segment.msg_id];
-
-  std::uint64_t addr = 0;
-  if (segment.kind == MsgKind::kUntagged) {
-    if (segment.msg_offset == 0) {
-      if (conn.recv_queue.empty()) {
-        // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-        throw std::logic_error("iwarp: untagged message with no posted receive");
-      }
-      const verbs::RecvWr wr = conn.recv_queue.front();
-      conn.recv_queue.pop_front();
-      if (wr.sge.length < segment.msg_len) {
-        // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-        throw std::length_error("iwarp: posted receive buffer too small");
-      }
-      rx.target_addr = wr.sge.addr;
-      rx.recv_wr_id = wr.wr_id;
-    }
-    if (check::InvariantMonitor* monitor = engine().monitor()) {
-      // DDP untagged delivery rides the in-order TCP stream, so segments
-      // of one message must arrive in offset order.
-      check::audit_iwarp_untagged_inorder(segment.msg_offset, rx.placed, segment.msg_id)
-          .report(monitor, engine().now(), check::Layer::kIwarp, node_->id());
-    }
-    addr = rx.target_addr + segment.msg_offset;
-  } else {  // tagged: kTaggedWrite or kReadResponse
-    if (!registry_.covers(segment.rkey, segment.place_addr, segment.payload_len)) {
-      if (check::InvariantMonitor* monitor = engine().monitor()) {
-        monitor->report(engine().now(), check::Layer::kIwarp, node_->id(), "tagged_bounds",
-                        "tagged placement at 0x" + std::to_string(segment.place_addr) + " +" +
-                            std::to_string(segment.payload_len) +
-                            "B not covered by rkey " + std::to_string(segment.rkey));
-      }
-      // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-      throw std::invalid_argument("iwarp: tagged placement not covered by rkey");
-    }
-    addr = segment.place_addr;
-    if (segment.msg_offset == 0) rx.target_addr = segment.place_addr;
+  if (conn.qp->in_error()) return;
+  if (check::InvariantMonitor* monitor = engine().monitor()) {
+    audit_placement(*monitor, conn, segment);
   }
-
-  if (segment.data != nullptr) {
-    node_->mem().write(addr, *segment.data);
-  } else if (hw::Buffer* buffer = node_->mem().find(addr);
-             buffer == nullptr ||
-             addr + segment.payload_len > buffer->addr() + buffer->size()) {
-    // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-    throw std::out_of_range("iwarp: placement outside any buffer");
-  }
-
-  rx.placed += segment.payload_len;
-  if (rx.placed < segment.msg_len) return;
-
-  // Message complete.
+  const verbs::RxMsg* rx = place(conn, segment);
+  if (rx == nullptr) return;
   if (engine().tracer() != nullptr) {
     engine().trace(TraceCategory::kNic, node_->id(),
                    std::string("DDP placement complete: ") +
                        kind_name(static_cast<int>(segment.kind)) + " " +
                        std::to_string(segment.msg_len) + "B at 0x" +
-                       std::to_string(rx.target_addr));
+                       std::to_string(rx->target_addr));
   }
-  const std::uint64_t base = rx.target_addr;
-  const std::uint64_t recv_wr_id = rx.recv_wr_id;
-  conn.rx_msgs.erase(segment.msg_id);
-  switch (segment.kind) {
-    case MsgKind::kUntagged:
-      conn.qp->recv_cq_->push(verbs::Completion{recv_wr_id, verbs::Completion::Type::kRecv,
-                                                segment.msg_len, conn.qp->qp_num()});
-      break;
-    case MsgKind::kReadResponse:
-      conn.qp->send_cq_->push(verbs::Completion{segment.wr_id, verbs::Completion::Type::kRdmaRead,
-                                                segment.msg_len, conn.qp->qp_num()});
-      for (auto it = conn.pending_reads.begin(); it != conn.pending_reads.end(); ++it) {
-        if (it->wr_id == segment.wr_id) {
-          conn.pending_reads.erase(it);
-          break;
-        }
-      }
-      check_watches(base, segment.msg_len);
-      break;
-    case MsgKind::kTaggedWrite:
-      check_watches(base, segment.msg_len);
-      break;
-    case MsgKind::kReadRequest:
-      break;  // handled elsewhere
-  }
+  complete_message(conn, segment, *rx);
 }
 
-void Rnic::check_watches(std::uint64_t addr, std::uint32_t len) {
-  for (auto it = watches_.begin(); it != watches_.end();) {
-    if (it->addr >= addr && it->addr + it->len <= addr + len) {
-      it->event->trigger();
-      it = watches_.erase(it);
-    } else {
-      ++it;
-    }
+void Rnic::audit_placement(check::InvariantMonitor& monitor, Conn& conn, const Segment& segment) {
+  if (segment.kind == MsgKind::kUntagged) {
+    // DDP untagged delivery rides the in-order TCP stream, so segments
+    // of one message must arrive in offset order.
+    check::audit_iwarp_untagged_inorder(segment.msg_offset, conn.rx_msgs[segment.msg_id].placed,
+                                        segment.msg_id)
+        .report(&monitor, engine().now(), check::Layer::kIwarp, node_->id());
+  } else if (!registry().covers(segment.rkey, segment.place_addr, segment.payload_len)) {
+    monitor.report(engine().now(), check::Layer::kIwarp, node_->id(), "tagged_bounds",
+                   "tagged placement at 0x" + std::to_string(segment.place_addr) + " +" +
+                       std::to_string(segment.payload_len) + "B not covered by rkey " +
+                       std::to_string(segment.rkey));
   }
 }
 

@@ -11,78 +11,32 @@
 // host memory crosses the card's internal half-duplex PCI-X bus — the
 // bandwidth bottleneck the paper reports.
 //
-// The stack is event-driven (no coroutines inside the NIC); only the
-// host-facing verbs calls are awaitable. Optional frame-loss injection
-// exercises the go-back-N recovery path.
+// The verbs message layer (registration, QPs, work-request translation,
+// placement and completion) is verbs::Device's; this class is the
+// transport under it. The stack is event-driven (no coroutines inside
+// the NIC); only the host-facing verbs calls are awaitable. Optional
+// frame-loss injection exercises the go-back-N recovery path.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
-#include <vector>
 
 #include "fault/plan.hpp"
-#include "hw/fabric.hpp"
-#include "hw/node.hpp"
 #include "iwarp/config.hpp"
 #include "sim/scope.hpp"
 #include "verbs/verbs.hpp"
 
 namespace fabsim::iwarp {
 
-class Rnic;
-
-/// iWARP queue pair: one QP <-> one TCP connection.
-class Qp final : public verbs::QueuePair {
- public:
-  Task<> post_send(verbs::SendWr wr) override;
-  Task<> post_recv(verbs::RecvWr wr) override;
-  int qp_num() const override { return qp_num_; }
-  bool connected() const override { return conn_id_ >= 0; }
-  bool in_error() const override { return in_error_; }
-
- private:
-  friend class Rnic;
-  Qp(Rnic& nic, int qp_num, verbs::CompletionQueue& send_cq, verbs::CompletionQueue& recv_cq)
-      : nic_(&nic), qp_num_(qp_num), send_cq_(&send_cq), recv_cq_(&recv_cq) {}
-
-  FABSIM_ENGINE_LOCAL;  // wiring fixed at create_qp/connect time
-  Rnic* nic_;
-  int qp_num_;
-  FABSIM_OWNED_BY(nic_->fabric_port());  // QP state advances only inside
-                                         // the owning NIC's events
-  int conn_id_ = -1;
-  bool in_error_ = false;
-  verbs::CompletionQueue* send_cq_;
-  verbs::CompletionQueue* recv_cq_;
-};
-
-class Rnic final : public verbs::Device, public hw::FrameSink {
+class Rnic final : public verbs::Device {
  public:
   Rnic(hw::Node& node, hw::Switch& fabric, RnicConfig config);
-
-  // --- verbs::Device ---
-  Task<verbs::MrKey> reg_mr(std::uint64_t addr, std::uint64_t len) override;
-  Task<> dereg_mr(verbs::MrKey key) override;
-  std::unique_ptr<verbs::QueuePair> create_qp(verbs::CompletionQueue& send_cq,
-                                              verbs::CompletionQueue& recv_cq) override;
-  std::shared_ptr<Event> watch_placement(std::uint64_t addr, std::uint64_t len) override;
-  hw::MemoryRegistry& registry() override { return registry_; }
-  void establish(verbs::QueuePair& local, verbs::QueuePair& remote) override {
-    connect(local, remote);
-  }
 
   // --- hw::FrameSink ---
   void deliver(hw::Frame frame) override;
 
-  /// Establish the TCP connection backing two QPs (out-of-band, instant —
-  /// the paper pre-establishes all connections before timing).
-  static void connect(verbs::QueuePair& a, verbs::QueuePair& b);
-
-  hw::Node& node() { return *node_; }
   const RnicConfig& config() const { return config_; }
-  int fabric_port() const { return port_; }
 
   // Statistics for tests and utilization studies.
   Time pcix_busy_time() const { return pcix_.busy_time(); }
@@ -96,116 +50,49 @@ class Rnic final : public verbs::Device, public hw::FrameSink {
   std::uint64_t rto_fires() const { return rto_fires_; }
   std::uint64_t retransmitted_bytes() const { return retransmitted_bytes_; }
   std::uint64_t corrupt_discards() const { return corrupt_discards_; }
-  std::uint64_t retry_exceeded_completions() const { return retry_exceeded_completions_; }
   std::uint64_t conn_errors() const { return conn_errors_; }
 
  private:
-  friend class Qp;
-
-  enum class MsgKind : std::uint8_t { kUntagged, kTaggedWrite, kReadRequest, kReadResponse };
+  using MsgKind = verbs::MsgKind;
 
   /// An RDMAP message queued for transmission.
-  struct OutMsg {
-    MsgKind kind = MsgKind::kUntagged;
+  struct OutMsg : verbs::Message {
     std::uint64_t msg_id = 0;
-    std::uint64_t wr_id = 0;
-    bool signaled = true;
-    std::uint32_t len = 0;          ///< payload length in the stream
-    std::uint32_t offset = 0;       ///< next byte to segment
-    std::uint64_t remote_addr = 0;  ///< tagged placement target / read source
-    verbs::MrKey rkey = 0;
-    std::uint64_t read_sink_addr = 0;  ///< requester-side sink (read only)
-    verbs::MrKey read_sink_key = 0;
-    std::uint32_t read_len = 0;
-    std::shared_ptr<std::vector<std::byte>> data;  ///< source snapshot, optional
-    bool first_segment_pending = true;
+    std::uint32_t offset = 0;  ///< next byte to segment
   };
 
   /// One TCP segment on the wire (MPA keeps DDP headers aligned, so
   /// segments never span RDMAP messages — mirrored here).
-  struct Segment {
-    int dst_conn_id = -1;
+  struct Segment : verbs::MsgHeader {
     std::uint64_t seq = 0;  ///< stream offset of payload[0]
-    std::uint32_t payload_len = 0;
     std::uint64_t ack = 0;  ///< piggybacked cumulative ack
-    MsgKind kind = MsgKind::kUntagged;
-    std::uint64_t msg_id = 0;
-    std::uint32_t msg_len = 0;
-    std::uint32_t msg_offset = 0;
-    std::uint64_t place_addr = 0;  ///< tagged target of this segment
-    verbs::MrKey rkey = 0;
-    std::uint64_t wr_id = 0;
-    bool signaled = true;
-    bool first_of_message = false;
-    bool last_of_message = false;
-    std::uint64_t read_sink_addr = 0;
-    verbs::MrKey read_sink_key = 0;
-    std::uint32_t read_len = 0;
-    std::shared_ptr<std::vector<std::byte>> data;  ///< payload slice, optional
-
-    /// For a read request, `place_addr` is unused and the remote source
-    /// travels in the tagged-address slot.
-    std::uint64_t remote_source_addr() const { return place_addr; }
   };
 
-  /// Progress of one inbound message.
-  struct RxMsg {
-    std::uint32_t placed = 0;
-    std::uint64_t target_addr = 0;
-    std::uint64_t recv_wr_id = 0;  ///< untagged only
-  };
-
-  /// An RDMA read posted locally whose response has not yet been fully
-  /// placed; tracked so retry exhaustion can flush it with an error
-  /// completion instead of letting the requester hang.
-  struct PendingRead {
-    std::uint64_t wr_id = 0;
-    std::uint32_t len = 0;
-    bool signaled = true;
-  };
-
-  /// Per-connection state (this side).
-  struct Conn {
-    FABSIM_ENGINE_LOCAL;  // wiring fixed at connect() time
-    Qp* qp = nullptr;
-    Rnic* peer = nullptr;
-    int peer_conn_id = -1;
-
-    FABSIM_OWNED_BY(qp->nic_->fabric_port());  // TCP/RDMAP machine state:
-                                               // advances only inside the
-                                               // owning NIC's events
+  /// Per-connection TCP/RDMAP state (this side).
+  struct Conn : verbs::Conn {
+    FABSIM_OWNED_BY(qp->device_->fabric_port());  // TCP/RDMAP machine state:
+                                                  // advances only inside the
+                                                  // owning NIC's events
     // Transmit.
     std::deque<OutMsg> sendq;
-    std::uint64_t next_msg_id = 1;
     std::uint64_t snd_nxt = 0;  ///< next stream byte to send
     std::uint64_t snd_una = 0;  ///< oldest unacknowledged byte
     std::deque<Segment> inflight;  ///< copies for go-back-N retransmit
     std::uint64_t timer_gen = 0;
     bool timer_armed = false;
     int retry_count = 0;  ///< consecutive RTO fires without ack progress
-    std::vector<PendingRead> pending_reads;
 
     // Receive.
     std::uint64_t rcv_nxt = 0;
     int segs_since_ack = 0;
     bool delack_armed = false;
-    std::map<std::uint64_t, RxMsg> rx_msgs;
-    std::deque<verbs::RecvWr> recv_queue;
   };
 
-  struct Watch {
-    std::uint64_t addr;
-    std::uint64_t len;
-    std::shared_ptr<Event> event;
-  };
+  // --- verbs::Device transport hooks ---
+  std::unique_ptr<verbs::Conn> make_conn() override { return std::make_unique<Conn>(); }
+  void submit(verbs::Conn& conn, verbs::Message msg) override;
 
-  Task<> post_send_impl(Qp& qp, verbs::SendWr wr);
-  Task<> post_recv_impl(Qp& qp, verbs::RecvWr wr);
-  static std::shared_ptr<std::vector<std::byte>> snapshot(hw::AddressSpace& mem,
-                                                          std::uint64_t addr, std::uint32_t len);
-
-  int new_conn(Qp& qp);
-  int conn_index(const Conn& conn) const;
+  Conn& conn_at(int id) { return static_cast<Conn&>(*conns().at(static_cast<std::size_t>(id))); }
   void pump(Conn& conn);
   void emit_segment(Conn& conn, OutMsg& msg, std::uint32_t chunk);
   void transmit(Conn& conn, Segment segment, bool retransmit);
@@ -223,19 +110,14 @@ class Rnic final : public verbs::Device, public hw::FrameSink {
   void flush_outmsg(Conn& conn, const OutMsg& msg);
   void handle_read_request(Conn& conn, const Segment& request);
   void complete_placement(Conn& conn, const Segment& segment);
-  void check_watches(std::uint64_t addr, std::uint32_t len);
-
-  Engine& engine() { return node_->engine(); }
+  /// FabricCheck audits of an inbound segment, before it is placed.
+  void audit_placement(check::InvariantMonitor& monitor, Conn& conn, const Segment& segment);
 
   // Scope/ownership annotations (scripts/scope_check.py, src/sim/scope.hpp).
-  FABSIM_ENGINE_LOCAL;  // engine plumbing + run-constant wiring
-  hw::Node* node_;
-  hw::Switch* fabric_;
+  FABSIM_ENGINE_LOCAL;  // run-constant configuration
   RnicConfig config_;
-  int port_;
   FABSIM_OWNED_BY(port_);  // mutable NIC/protocol state: confined to this
                            // node's events (or scope -1 wire handoffs)
-  hw::MemoryRegistry registry_;
   hw::PcixBus pcix_;
   PipelinedServer tx_engine_;
   PipelinedServer rx_engine_;
@@ -244,16 +126,12 @@ class Rnic final : public verbs::Device, public hw::FrameSink {
   /// FaultPlan, so the legacy knob and engine-level injectors share one
   /// decision surface (and one seeded draw sequence).
   fault::FaultPlan loss_plan_;
-  int next_qp_num_ = 1;
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::vector<Watch> watches_;
   std::uint64_t segments_sent_ = 0;
   std::uint64_t acks_sent_ = 0;
   std::uint64_t retransmits_ = 0;
   std::uint64_t rto_fires_ = 0;
   std::uint64_t retransmitted_bytes_ = 0;
   std::uint64_t corrupt_discards_ = 0;
-  std::uint64_t retry_exceeded_completions_ = 0;
   std::uint64_t conn_errors_ = 0;
 };
 

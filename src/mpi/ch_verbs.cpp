@@ -492,9 +492,8 @@ Task<> ChVerbs::handle_inbound(int peer_rank, std::uint32_t slot) {
           // the slot immediately (MPICH keeps its ring shallow this way).
           co_await cpu().copy(slot_addr(*peer.recv_arena, slot) + kEnvBytes, env.len);
           if (env.len > 0) {
-            auto view = peer.recv_arena->bytes().subspan(
-                static_cast<std::size_t>(slot) * slot_size() + kEnvBytes, env.len);
-            msg.data = std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
+            msg.data =
+                node_->mem().snapshot(slot_addr(*peer.recv_arena, slot) + kEnvBytes, env.len);
           }
           co_await release_recv_slot(peer_rank, slot, /*count_credit=*/true);
         } else {

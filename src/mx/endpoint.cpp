@@ -17,23 +17,6 @@ MxConfig mxoe_defaults() {
   return config;
 }
 
-namespace {
-
-std::shared_ptr<std::vector<std::byte>> snapshot(hw::AddressSpace& mem, std::uint64_t addr,
-                                                 std::uint32_t len) {
-  hw::Buffer* buffer = mem.find(addr);
-  if (buffer == nullptr || addr + len > buffer->addr() + buffer->size()) {
-    // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-    throw std::out_of_range("mx: source outside any buffer");
-  }
-  if (!buffer->has_data()) return nullptr;
-  auto view = mem.window(addr, len);
-  // HOT-OK(per-message wire payload snapshot; stack-level state outside the engine's tracked zero-alloc contract)
-  return std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
-}
-
-}  // namespace
-
 Endpoint::Endpoint(hw::Node& node, hw::Switch& fabric, MxConfig config)
     : node_(&node),
       fabric_(&fabric),
@@ -66,7 +49,7 @@ Task<RequestPtr> Endpoint::isend(std::uint64_t addr, std::uint32_t len, int dest
     // Copy into the pinned send ring (the single send-side copy of MX's
     // eager protocol); the user buffer is reusable immediately after.
     co_await node_->cpu().copy(addr, len);
-    op.data = snapshot(node_->mem(), addr, len);
+    op.data = node_->mem().snapshot(addr, len);
     engine().post(engine().now() + config_.doorbell, /*scope=*/port_,
                   [this, op = std::move(op)]() mutable { send_eager(std::move(op)); });
   } else {
@@ -436,7 +419,7 @@ void Endpoint::send_rts(SendOp op) {
     return;
   }
   const std::uint64_t msg_id = next_msg_id_++;
-  op.data = snapshot(node_->mem(), op.addr, op.len);
+  op.data = node_->mem().snapshot(op.addr, op.len);
   send_control(FrameKind::kRts, op.dest, msg_id, 0, op.match_bits, op.len);
   // HOT-OK(rendezvous bookkeeping bounded by outstanding sends)
   pending_sends_.emplace(msg_id, std::move(op));

@@ -45,15 +45,7 @@ Task<> HostTcp::send_impl(int conn_id, std::uint64_t addr, std::uint32_t len) {
   co_await node_->cpu().copy(addr, len);
 
   // Grab the payload bytes (if the buffer carries data).
-  hw::Buffer* src = node_->mem().find(addr);
-  if (src == nullptr || addr + len > src->addr() + src->size()) {
-    throw std::out_of_range("sockets: send buffer outside any allocation");
-  }
-  std::shared_ptr<std::vector<std::byte>> data;
-  if (src->has_data()) {
-    auto view = node_->mem().window(addr, len);
-    data = std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
-  }
+  const std::shared_ptr<std::vector<std::byte>> data = node_->mem().snapshot(addr, len);
 
   // Kernel transmit path: per-segment stack work on this CPU, then the
   // NIC serializes each frame onto the wire.

@@ -351,70 +351,111 @@ TEST(IbFaults, TraceRecordsNakDrivenRecoverySequence) {
   EXPECT_LT(nak_at, rexmit_at);
 }
 
-TEST(IbFaults, RetryExhaustionWithPendingReadFlushesCompletion) {
-  // Regression: an RDMA Read whose *request* was delivered and acked but
-  // whose *response* is lost forever used to hang silently — the
-  // requester's inflight queue was empty (the request was acked away), so
-  // no timer fired on its side, the responder exhausted its retries alone,
-  // and the read's completion never materialized (under-counting
-  // kRetryExceeded). Now the responder propagates its terminal failure to
-  // the peer, the requester flushes the stranded read with kRetryExceeded,
-  // and the invariant monitor records the QP-died-with-pending-work event.
-  core::NetworkProfile profile = core::ib_profile();
+// ---------------------------------------------------------------------------
+// Retry exhaustion with an RDMA Read pending (both verbs transports)
+// ---------------------------------------------------------------------------
+
+struct StrandedReadRun {
+  verbs::Completion read_completion{};
+  verbs::Completion recv_completion{};
+  bool got_read = false;
+  bool got_recv = false;
+  bool requester_error = false;
+  bool responder_error = false;
+  std::uint64_t retry_exceeded = 0;  ///< flushes the requester's device counted
+  bool reported_pending = false;     ///< monitor saw error_pending_completion
+};
+
+/// Regression: an RDMA Read whose *request* was delivered and acked but
+/// whose *response* is lost forever used to hang silently — the
+/// requester had nothing left to retransmit, so no timer fired on its
+/// side, the responder exhausted its retries alone, and the read's
+/// completion never materialized (under-counting kRetryExceeded). Now the
+/// responder propagates its terminal failure to the peer, and the
+/// requester flushes both the stranded read and the receive it had
+/// posted with kRetryExceeded.
+StrandedReadRun run_stranded_read(core::Network network) {
+  core::NetworkProfile profile = core::profile(network);
+  profile.rnic.rto = us(20);
+  profile.rnic.retry_limit = 3;
   profile.hca.rto = us(20);
   profile.hca.retry_limit = 3;
   core::Cluster cluster(2, profile);
   check::InvariantMonitor& monitor = cluster.enable_checks(/*fatal=*/false);
 
-  // Frame order for a 1-packet read: f1 = request (0->1), f2 = ack
+  // Frame order for a one-segment read: f1 = request (0->1), f2 = ack
   // (1->0), f3 = response (1->0). Drop the response and every retransmit
   // of it; the request and its ack sail through.
   FaultPlan plan;
   for (std::uint64_t n = 3; n <= 12; ++n) plan.nth_frame(n, FaultAction::kDrop);
   cluster.engine().set_fault_injector(&plan);
 
-  const std::uint32_t len = 1024;  // single MTU: exactly one response packet
+  const std::uint32_t len = 1024;  // below MTU and MSS: exactly one response frame
   auto& sink = cluster.node(0).mem().alloc(len, false);
+  auto& inbox = cluster.node(0).mem().alloc(len, false);
   auto& source = cluster.node(1).mem().alloc(len, false);
 
-  IbRun out;
-  verbs::CompletionQueue scq(cluster.engine());
-  verbs::CompletionQueue rcq(cluster.engine());
+  StrandedReadRun out;
+  verbs::CompletionQueue send_cq(cluster.engine());
+  verbs::CompletionQueue recv_cq(cluster.engine());
+  verbs::CompletionQueue peer_cq(cluster.engine());
   std::vector<std::unique_ptr<verbs::QueuePair>> qps;
-  cluster.engine().spawn([](core::Cluster& c, verbs::CompletionQueue& send_cq,
-                            verbs::CompletionQueue& recv_cq,
-                            std::vector<std::unique_ptr<verbs::QueuePair>>& pairs, std::uint64_t s,
-                            std::uint64_t d, std::uint32_t n, IbRun& result) -> Task<> {
-    pairs.push_back(c.device(0).create_qp(send_cq, send_cq));
-    pairs.push_back(c.device(1).create_qp(recv_cq, recv_cq));
-    c.device(0).establish(*pairs[0], *pairs[1]);
+  qps.push_back(cluster.device(0).create_qp(send_cq, recv_cq));
+  qps.push_back(cluster.device(1).create_qp(peer_cq, peer_cq));
+  cluster.device(0).establish(*qps[0], *qps[1]);
+  cluster.engine().spawn([](core::Cluster& c, verbs::QueuePair& qp, verbs::CompletionQueue& scq,
+                            verbs::CompletionQueue& rcq, std::uint64_t d, std::uint64_t r,
+                            std::uint64_t s, std::uint32_t n, StrandedReadRun& result) -> Task<> {
     auto lkey = co_await c.device(0).reg_mr(d, n);
+    auto inbox_key = co_await c.device(0).reg_mr(r, n);
     auto rkey = co_await c.device(1).reg_mr(s, n);
-    co_await pairs[0]->post_send(verbs::SendWr{.wr_id = 1,
-                                               .opcode = verbs::Opcode::kRdmaRead,
-                                               .sge = {d, n, lkey},
-                                               .remote_addr = s,
-                                               .rkey = rkey});
-    result.send_completion = co_await verbs::next_completion(send_cq, c.node(0).cpu(), ns(200));
-    result.got_send = true;
-    result.qp0_error = pairs[0]->in_error();
-  }(cluster, scq, rcq, qps, source.addr(), sink.addr(), len, out));
+    co_await qp.post_recv(verbs::RecvWr{.wr_id = 2, .sge = {r, n, inbox_key}});
+    co_await qp.post_send(verbs::SendWr{.wr_id = 1,
+                                        .opcode = verbs::Opcode::kRdmaRead,
+                                        .sge = {d, n, lkey},
+                                        .remote_addr = s,
+                                        .rkey = rkey});
+    result.read_completion = co_await verbs::next_completion(scq, c.node(0).cpu(), ns(200));
+    result.got_read = true;
+    result.recv_completion = co_await verbs::next_completion(rcq, c.node(0).cpu(), ns(200));
+    result.got_recv = true;
+  }(cluster, *qps[0], send_cq, recv_cq, sink.addr(), inbox.addr(), source.addr(), len, out));
   cluster.engine().run();
 
-  ASSERT_TRUE(out.got_send) << "the stranded read must complete, not hang";
-  EXPECT_EQ(out.send_completion.status, verbs::Completion::Status::kRetryExceeded);
-  EXPECT_EQ(out.send_completion.wr_id, 1u);
-  EXPECT_EQ(out.send_completion.type, verbs::Completion::Type::kRdmaRead);
-  EXPECT_TRUE(out.qp0_error) << "peer failure must move the requester QP to error";
-  EXPECT_EQ(cluster.hca(0).retry_exceeded_completions(), 1u)
-      << "the flushed read is accounted under kRetryExceeded";
-
-  // The monitor saw the QP die with work still pending.
-  bool reported = false;
+  out.requester_error = qps[0]->in_error();
+  out.responder_error = qps[1]->in_error();
+  out.retry_exceeded = network == core::Network::kIb
+                           ? cluster.hca(0).retry_exceeded_completions()
+                           : cluster.rnic(0).retry_exceeded_completions();
   for (const auto& v : monitor.violations()) {
-    if (v.rule == "error_pending_completion") reported = true;
+    if (v.rule == "error_pending_completion") out.reported_pending = true;
   }
-  EXPECT_TRUE(reported) << "enter_error with pending reads must be reported";
+  return out;
+}
+
+void expect_stranded_read_flushed(const StrandedReadRun& run) {
+  ASSERT_TRUE(run.got_read) << "the stranded read must complete, not hang";
+  EXPECT_EQ(run.read_completion.status, verbs::Completion::Status::kRetryExceeded);
+  EXPECT_EQ(run.read_completion.wr_id, 1u);
+  EXPECT_EQ(run.read_completion.type, verbs::Completion::Type::kRdmaRead);
+  ASSERT_TRUE(run.got_recv) << "the posted receive must flush, not hang";
+  EXPECT_EQ(run.recv_completion.status, verbs::Completion::Status::kRetryExceeded);
+  EXPECT_EQ(run.recv_completion.wr_id, 2u);
+  EXPECT_EQ(run.recv_completion.type, verbs::Completion::Type::kRecv);
+  EXPECT_TRUE(run.responder_error) << "retry exhaustion must move the responder QP to error";
+  EXPECT_TRUE(run.requester_error) << "peer failure must move the requester QP to error";
+  EXPECT_EQ(run.retry_exceeded, 2u) << "the read and the receive both count as kRetryExceeded";
+}
+
+TEST(IbFaults, RetryExhaustionWithPendingReadFlushesCompletion) {
+  const StrandedReadRun run = run_stranded_read(core::Network::kIb);
+  expect_stranded_read_flushed(run);
+  // The monitor saw the QP die with work still pending.
+  EXPECT_TRUE(run.reported_pending) << "enter_error with pending reads must be reported";
+}
+
+TEST(IwarpFaults, RetryExhaustionWithPendingReadFlushesCompletion) {
+  expect_stranded_read_flushed(run_stranded_read(core::Network::kIwarp));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 // address space, and memory registration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -253,6 +254,43 @@ TEST(AddressSpace, FindByInteriorAddress) {
   Buffer& buffer = mem.alloc(4096);
   EXPECT_EQ(mem.find(buffer.addr() + 4095), &buffer);
   EXPECT_EQ(mem.find(buffer.addr() + 4096), nullptr);
+}
+
+TEST(AddressSpace, DataBuffersStartZeroed) {
+  // A small buffer is recycled from the allocator's free lists and a
+  // large one comes straight from the kernel; both must read as zeros
+  // even when the previous buffer of that size was filled.
+  for (const std::uint64_t size : {std::uint64_t{4096}, std::uint64_t{8} << 20}) {
+    AddressSpace mem;
+    Buffer& dirty = mem.alloc(size);
+    std::memset(dirty.bytes().data(), 0xA5, dirty.bytes().size());
+    mem.free(dirty);
+    Buffer& fresh = mem.alloc(size);
+    ASSERT_TRUE(fresh.has_data());
+    ASSERT_EQ(fresh.bytes().size(), size);
+    const auto nonzero = std::find_if(fresh.bytes().begin(), fresh.bytes().end(),
+                                      [](std::byte b) { return b != std::byte{0}; });
+    EXPECT_EQ(nonzero, fresh.bytes().end()) << "size " << size;
+  }
+}
+
+TEST(AddressSpace, SnapshotCopiesDataAndChecksBounds) {
+  AddressSpace mem;
+  Buffer& buffer = mem.alloc(64);
+  std::vector<std::byte> payload(16);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::byte>(i + 1);
+  mem.write(buffer.addr() + 8, payload);
+
+  auto copy = mem.snapshot(buffer.addr() + 8, 16);
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(*copy, payload);
+  mem.write(buffer.addr() + 8, std::vector<std::byte>(16));
+  EXPECT_EQ(*copy, payload) << "a snapshot must not alias the buffer";
+
+  EXPECT_THROW(mem.snapshot(buffer.addr() + 60, 16), std::out_of_range);
+  EXPECT_THROW(mem.snapshot(0xdeadbeef, 1), std::out_of_range);
+  Buffer& size_only = mem.alloc(4096, /*with_data=*/false);
+  EXPECT_EQ(mem.snapshot(size_only.addr(), 4096), nullptr);
 }
 
 TEST(MemoryRegistry, RegisterLookupDeregister) {

@@ -14,4 +14,12 @@ void Engine::dispatch(int ev) {
   ctr_ += 1;  // HOT-OK()                          -> empty_waiver (no rationale)
 }
 
+void Device::place(int chunk) {
+  staging_ = new char[chunk];                   // -> hot_alloc, reached only via Nic's lambda
+}
+
+void Nic::deliver(int chunk) {
+  engine_->post(1.0, [this, chunk] { place(chunk); });  // inherited call: Device::place
+}
+
 }  // namespace fixdev

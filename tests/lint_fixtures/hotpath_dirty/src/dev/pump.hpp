@@ -2,7 +2,9 @@
 // hotpath_check self-test fixture: the dirty tree. Engine::dispatch
 // commits one violation per rule (plus one inside a post() lambda and a
 // dormant mutation seam for the --mutation polarity case); the
-// self-test asserts every tag fires.
+// self-test asserts every tag fires. Nic's continuation reaches its
+// only violation through a method it inherits from Device, so the
+// finding disappears if the walk stops following base classes.
 
 namespace fixdev {
 
@@ -14,6 +16,22 @@ class Engine {
   char* buf_ = nullptr;
   int ctr_ = 0;
   bool armed_ = true;
+};
+
+class Device {
+ protected:
+  void place(int chunk);
+
+ private:
+  char* staging_ = nullptr;
+};
+
+class Nic final : public Device {
+ public:
+  void deliver(int chunk);
+
+ private:
+  Engine* engine_ = nullptr;
 };
 
 }  // namespace fixdev

@@ -8,9 +8,11 @@ trees must fail with every expected rule tag present — one positive and
 one negative case per rule, so a regex that silently stops matching (or
 starts over-matching) turns the suite red.
 """
+import json
 import os
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "tests", "lint_fixtures")
@@ -94,6 +96,8 @@ for rule in ["hot_alloc", "hot_growth", "hot_stdfunction", "hot_wallclock",
     check(f"hotpath: dirty tree flags [{rule}]", f"[{rule}]" in dirty.stderr)
 check("hotpath: dirty tree scanned the post lambda",
       "<post-lambda>" in dirty.stderr)
+check("hotpath: dirty tree followed an inherited call into the base class",
+      "[hot_alloc] Device::place" in dirty.stderr)
 check("hotpath: dormant mutation seam is NOT flagged",
       "mutation_hotalloc" not in dirty.stderr)
 armed = run("hotpath_check.py", "--root",
@@ -103,8 +107,16 @@ check("hotpath: armed mutation seam is flagged",
 
 # The real tree: clean by default, and the deliberately allocating
 # dispatch seam must be caught when armed (the gate can fail).
-real = run("hotpath_check.py", "--out", "-")
+with tempfile.TemporaryDirectory() as tmp:
+    report_path = os.path.join(tmp, "hotpath_report.json")
+    real = run("hotpath_check.py", "--out", report_path)
+    with open(report_path, encoding="utf-8") as f:
+        hot_set = json.load(f)["hot_set"]
 check("hotpath: real src/ is clean", real.returncode == 0)
+# The transports reach the shared verbs layer only through inherited
+# calls; the walk must still scan it.
+for fn in ["Device::place", "Device::complete_message", "Device::complete_send"]:
+    check(f"hotpath: real hot set contains {fn}", fn in hot_set)
 mutation = run("hotpath_check.py", "--mutation", "--expect-violations", "--out", "-")
 check("hotpath: mutation seam is caught statically", mutation.returncode == 0)
 check("hotpath: mutation verdict names the seam", "engine.hpp" in mutation.stderr)

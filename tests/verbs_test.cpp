@@ -2,9 +2,15 @@
 // internal consistency.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/calibration.hpp"
 #include "mpi/rank.hpp"
 #include "hw/cpu.hpp"
+#include "hw/fabric.hpp"
+#include "hw/node.hpp"
+#include "ib/hca.hpp"
+#include "iwarp/rnic.hpp"
 #include "sim/engine.hpp"
 #include "verbs/verbs.hpp"
 
@@ -39,6 +45,41 @@ TEST(CompletionQueue, NextCompletionBlocksUntilPush) {
   engine.run();
   EXPECT_EQ(got_id, 42u);
   EXPECT_EQ(got_at, us(5) + ns(100));  // wake at push, pay one poll cost
+}
+
+TEST(Establish, RejectsConnectedQpsAndMixedTechnologies) {
+  Engine engine;
+  hw::Switch fabric(engine, hw::SwitchConfig{Rate::gbit_per_sec(10.0), ns(450), ns(100)});
+  const hw::PciConfig pcie{Rate::mb_per_sec(2000.0), ns(250)};
+  hw::Node node0(engine, 0, pcie), node1(engine, 1, pcie), node2(engine, 2, pcie);
+  iwarp::Rnic rnic0(node0, fabric, iwarp::RnicConfig{});
+  iwarp::Rnic rnic1(node1, fabric, iwarp::RnicConfig{});
+  ib::Hca hca(node2, fabric, ib::HcaConfig{});
+  CompletionQueue cq(engine);
+  auto a = rnic0.create_qp(cq, cq);
+  auto b = rnic1.create_qp(cq, cq);
+  auto c = rnic1.create_qp(cq, cq);
+  auto x = hca.create_qp(cq, cq);
+  rnic0.establish(*a, *b);
+
+  // A connected QP cannot be connected again; its would-be peer stays free.
+  EXPECT_THROW(rnic1.establish(*c, *a), std::logic_error);
+  EXPECT_THROW(rnic1.establish(*b, *c), std::logic_error);
+
+  // An iWARP QP cannot pair with an IB QP, from either side.
+  EXPECT_ANY_THROW(rnic1.establish(*c, *x));
+  EXPECT_ANY_THROW(hca.establish(*x, *c));
+
+  // No failed call left a half-wired connection behind: the first pair
+  // is still up, and the bystanders can still be connected.
+  EXPECT_TRUE(a->connected());
+  EXPECT_TRUE(b->connected());
+  EXPECT_FALSE(c->connected());
+  EXPECT_FALSE(x->connected());
+  auto d = rnic0.create_qp(cq, cq);
+  rnic1.establish(*c, *d);
+  EXPECT_TRUE(c->connected());
+  EXPECT_TRUE(d->connected());
 }
 
 TEST(CompletionQueue, NextCompletionReturnsImmediatelyWhenReady) {
