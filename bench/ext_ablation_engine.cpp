@@ -4,24 +4,27 @@
 //      scaling must collapse to IB-like behaviour;
 //  (b) sweep the IB HCA's QP-context cache size: the serialization knee
 //      must track the cache capacity.
-#include <cstdio>
 #include <vector>
 
-#include "core/report.hpp"
+#include "core/bench.hpp"
 #include "core/runners.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
 
-int main() {
-  std::printf("=== Extension X4: engine-architecture ablations (Fig 2 mechanisms) ===\n");
+int main(int argc, char** argv) {
+  const Bench bench("ext_ablation_engine", argc, argv);
   // Probe past both knees: deep enough that the ablated engines have
   // visibly serialized and the context cache is thrashing.
   constexpr int kProbeConns = 32;
 
-  Report report("ext_ablation_engine");
+  Report report(bench.report_name());
   report.add_note("Fig 2 mechanism ablations: RNIC pipelining off, HCA context-cache sweep");
   report.add_note("probe: per-round latency histograms + metrics at conns=32 msg=1KB");
+  report.add_note("expected: (a) the ablated iWARP engine stops improving once the serial "
+                  "engine saturates: the pipelined design is what buys Figure 2's scaling");
+  report.add_note("expected: (b) IB's knee sits right after its context-cache size: a 2-entry "
+                  "cache serializes at 4 connections, a 32-entry cache pushes the knee past 32");
 
   {
     NetworkProfile piped = iwarp_profile();
@@ -34,21 +37,14 @@ int main() {
     Table table("iWARP normalized multi-conn latency (us), 1 KB messages", "connections",
                 {"pipelined (real)", "processor-based (ablated)"});
     for (int c : {1, 2, 4, 8, 16, 32, 64}) {
-      if (c == kProbeConns) {
-        Histogram piped_hist, serial_hist;
-        MetricRegistry metrics;
-        table.add_row(c,
-                      {multiconn_normalized_latency_us(piped, c, 1024, 16, &piped_hist, &metrics),
-                       multiconn_normalized_latency_us(serial, c, 1024, 16, &serial_hist)});
-        report.add_histogram("iwarp_pipelined.norm_latency_us", piped_hist);
-        report.add_histogram("iwarp_serial.norm_latency_us", serial_hist);
-        report.add_metrics(metrics, "iwarp_pipelined.");
-      } else {
-        table.add_row(c, {multiconn_normalized_latency_us(piped, c, 1024),
-                          multiconn_normalized_latency_us(serial, c, 1024)});
-      }
+      Probe piped_probe(c == kProbeConns), serial_probe(c == kProbeConns);
+      table.add_row(c, {multiconn_normalized_latency_us(piped, c, 1024, 16, piped_probe.hist(),
+                                                        piped_probe.metrics()),
+                        multiconn_normalized_latency_us(serial, c, 1024, 16,
+                                                        serial_probe.hist())});
+      piped_probe.record(report, "iwarp_pipelined", "norm_latency_us");
+      serial_probe.record(report, "iwarp_serial", "norm_latency_us");
     }
-    table.print();
     report.add_table(table);
   }
 
@@ -62,31 +58,17 @@ int main() {
       for (int s : cache_sizes) {
         NetworkProfile p = ib_profile();
         p.hca.context_cache_entries = s;
-        if (c == kProbeConns && s == 2) {
-          // The thrash case: context_hits/misses in the metric dump show
-          // the cache-serialization mechanism directly.
-          Histogram hist;
-          MetricRegistry metrics;
-          row.push_back(multiconn_normalized_latency_us(p, c, 1024, 16, &hist, &metrics));
-          report.add_histogram("ib_cache2.norm_latency_us", hist);
-          report.add_metrics(metrics, "ib_cache2.");
-        } else {
-          row.push_back(multiconn_normalized_latency_us(p, c, 1024));
-        }
+        // The thrash case: context_hits/misses in the metric dump show
+        // the cache-serialization mechanism directly.
+        Probe probe(c == kProbeConns && s == 2);
+        row.push_back(multiconn_normalized_latency_us(p, c, 1024, 16, probe.hist(),
+                                                      probe.metrics()));
+        probe.record(report, "ib_cache2", "norm_latency_us");
       }
       table.add_row(c, std::move(row));
     }
-    table.print();
     report.add_table(table);
   }
 
-  report.write();
-
-  std::printf(
-      "\nExpected shape: (a) the ablated iWARP engine stops improving once the\n"
-      "serial engine saturates — the pipelined design is what buys Figure 2's\n"
-      "scaling; (b) IB's knee sits right after its context-cache size: a\n"
-      "2-entry cache serializes at 4 connections, a 32-entry cache pushes the\n"
-      "knee past 32.\n");
-  return 0;
+  return bench.finish(report);
 }

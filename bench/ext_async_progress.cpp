@@ -4,22 +4,23 @@
 // progress ruins: the LogP receiver overhead at rendezvous sizes and
 // sender-side overlap. MX already progresses on the NIC; with async
 // progress the verbs stacks catch up.
-#include <algorithm>
-#include <cstdio>
-
-#include "core/report.hpp"
+#include "core/bench.hpp"
 #include "core/runners.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
 
-int main() {
+int main(int argc, char** argv) {
+  const Bench bench("ext_async_progress", argc, argv);
   constexpr std::uint32_t kProbeMsg = 65536;  // rendezvous regime: the point of the ablation
-  std::printf("=== Extension X10: asynchronous progress for the verbs MPIs ===\n");
 
-  Report report("ext_async_progress");
+  Report report(bench.report_name());
   report.add_note("LogP Or(m), synchronous vs asynchronous progress, verbs MPIs");
   report.add_note("probe: Or call-duration histograms + metrics at msg=64KB, iWARP sync/async");
+  report.add_note("expected: with a progress engine the rendezvous handshake is answered while "
+                  "the receiver computes, so the Or(m) jump (tens to hundreds of microseconds "
+                  "under synchronous progress) collapses to the microsecond class: the verbs "
+                  "stacks behave like MX's NIC progression");
 
   Table table("LogP receiver overhead Or(m) in us: sync vs async progress", "msg_bytes",
               {"iWARP sync", "iWARP async", "IB sync", "IB async"});
@@ -28,32 +29,16 @@ int main() {
     iw_async.mpi.async_progress = true;
     NetworkProfile ib_async = ib_profile();
     ib_async.mpi.async_progress = true;
-    if (msg == kProbeMsg) {
-      Histogram sync_or, async_or;
-      MetricRegistry metrics;
-      table.add_row(msg,
-                    {logp_parameters(iwarp_profile(), msg, 10, nullptr, &sync_or, &metrics).or_us,
-                     logp_parameters(iw_async, msg, 10, nullptr, &async_or).or_us,
-                     logp_parameters(ib_profile(), msg, 10).or_us,
-                     logp_parameters(ib_async, msg, 10).or_us});
-      report.add_histogram("iwarp_sync.or_us", sync_or);
-      report.add_histogram("iwarp_async.or_us", async_or);
-      report.add_metrics(metrics, "iwarp_sync.");
-    } else {
-      table.add_row(msg, {logp_parameters(iwarp_profile(), msg, 10).or_us,
-                          logp_parameters(iw_async, msg, 10).or_us,
-                          logp_parameters(ib_profile(), msg, 10).or_us,
-                          logp_parameters(ib_async, msg, 10).or_us});
-    }
+    Probe sync_probe(msg == kProbeMsg), async_probe(msg == kProbeMsg);
+    table.add_row(msg, {logp_parameters(iwarp_profile(), msg, 10, nullptr, sync_probe.hist(),
+                                        sync_probe.metrics())
+                            .or_us,
+                        logp_parameters(iw_async, msg, 10, nullptr, async_probe.hist()).or_us,
+                        logp_parameters(ib_profile(), msg, 10).or_us,
+                        logp_parameters(ib_async, msg, 10).or_us});
+    sync_probe.record(report, "iwarp_sync", "or_us");
+    async_probe.record(report, "iwarp_async", "or_us");
   }
-  table.print();
   report.add_table(table);
-  report.write();
-
-  std::printf(
-      "\nExpected shape: with a progress engine, the rendezvous handshake is\n"
-      "answered while the receiver computes, so the Or(m) jump (tens to\n"
-      "hundreds of microseconds under synchronous progress) collapses to the\n"
-      "microsecond class — the verbs stacks behave like MX's NIC progression.\n");
-  return 0;
+  return bench.finish(report);
 }

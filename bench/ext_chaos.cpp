@@ -28,19 +28,20 @@
 //      mx_cancel for MX. A flow still pending once the event queue
 //      drains is a stack bug.
 //
-// Results land in results/ext_chaos{,_quick}.{txt,json}; the
-// chaos-smoke CI job runs `ext_chaos quick` under FABSIM_CHECK and
-// scripts/chaos_soak.sh sweeps seeds for the long-form soak.
+// Results land in results/ext_chaos{,_quick}.{txt,json}; a run with
+// `--seed N` other than the default writes ext_chaos{,_quick}_seed<N>.*
+// instead. The chaos-smoke CI job runs `ext_chaos quick` under
+// FABSIM_CHECK and scripts/chaos_soak.sh sweeps seeds for the long-form
+// soak.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/bench.hpp"
 #include "core/cluster.hpp"
-#include "core/report.hpp"
 #include "fault/plan.hpp"
 
 using namespace fabsim;
@@ -329,18 +330,11 @@ ChaosStats run(Network network, const topo::FabricSpec& spec, int endpoints,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::uint64_t seed = 7;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "quick") {
-      quick = true;
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    }
-  }
-  std::printf("=== Extension X12: chaos soak on failing Clos fabrics (%s, seed %llu) ===\n",
-              quick ? "quick" : "full", static_cast<unsigned long long>(seed));
+  constexpr std::uint64_t kDefaultSeed = 7;
+  std::uint64_t seed = kDefaultSeed;
+  const Bench bench("ext_chaos", argc, argv,
+                    {.quick = true, .options = {number_option("--seed", seed)}});
+  const bool quick = bench.quick();
 
   const topo::FabricSpec spec = quick ? topo::FabricSpec{2, 8, 1.0} : topo::FabricSpec{3, 8, 1.0};
   const int endpoints = quick ? 16 : 128;
@@ -350,9 +344,10 @@ int main(int argc, char** argv) {
   const Pattern pattern = chaos_pattern(endpoints, incast_senders);
   const auto networks = {Network::kIwarp, Network::kIb, Network::kMxoe};
 
-  Report report(quick ? "ext_chaos_quick" : "ext_chaos");
+  Report report(bench.report_name(seed == kDefaultSeed ? "" : "seed" + std::to_string(seed)));
   report.add_note("seeded chaos: detected link/switch-down windows (LFT reroute) + silent flaps");
-  report.add_note("gate: zero FabricCheck violations, identical digests, no silent hangs");
+  report.add_note("gate: zero FabricCheck violations, identical digests (iWARP over 3 runs, "
+                  "IB and MXoE over 2), no silent hangs");
   report.add_note("phase 2: node-0 edge switch silently partitioned; surfaced > 0 required");
   report.add_note("flows table x: 0=iWARP 1=IB 2=MXoE");
   report.add_scalar("seed", static_cast<double>(seed));
@@ -372,20 +367,13 @@ int main(int argc, char** argv) {
     const ChaosStats s1 = run(n, spec, endpoints, pattern, chunk, chunks, seed, quick,
                               /*partition=*/false, &metrics);
     const ChaosStats s2 = run(n, spec, endpoints, pattern, chunk, chunks, seed, quick);
-    int repeats = 2;
     bool digests_match = s1.digest == s2.digest;
     if (n == Network::kIwarp) {
       // Third repeat: one invocation of this bench certifies three
       // identical digests for the same seed on the probe stack.
       const ChaosStats s3 = run(n, spec, endpoints, pattern, chunk, chunks, seed, quick);
       digests_match = digests_match && s1.digest == s3.digest;
-      repeats = 3;
     }
-    std::printf("%-6s recovered=%d surfaced=%d cancelled=%d hung=%d violations=%llu "
-                "epochs=%d digest(x%d)=%s\n",
-                network_name(n), s1.recovered, s1.surfaced, s1.cancelled, s1.hung,
-                static_cast<unsigned long long>(s1.violations), s1.lft_epochs, repeats,
-                digests_match ? "identical" : "MISMATCH");
     if (s1.violations != 0) {
       std::fprintf(stderr, "GATE: %s recorded %llu FabricCheck violations\n", network_name(n),
                    static_cast<unsigned long long>(s1.violations));
@@ -427,11 +415,6 @@ int main(int argc, char** argv) {
   for (Network n : networks) {
     const ChaosStats s = run(n, spec, endpoints, pattern, chunk, chunks, seed, quick,
                              /*partition=*/true);
-    std::printf("%-6s partition: recovered=%d surfaced=%d cancelled=%d hung=%d "
-                "violations=%llu give_ups=%llu\n",
-                network_name(n), s.recovered, s.surfaced, s.cancelled, s.hung,
-                static_cast<unsigned long long>(s.violations),
-                static_cast<unsigned long long>(s.give_ups));
     if (s.violations != 0) {
       std::fprintf(stderr, "GATE: %s partition recorded %llu FabricCheck violations\n",
                    network_name(n), static_cast<unsigned long long>(s.violations));
@@ -455,21 +438,15 @@ int main(int argc, char** argv) {
     ++stack_index;
   }
 
-  flows_table.print();
-  fabric_table.print();
-  partition_table.print();
   report.add_table(flows_table);
   report.add_table(fabric_table);
   report.add_table(partition_table);
-  report.write();
-
   if (failures != 0) {
-    std::fprintf(stderr, "\nchaos gate: %d failure(s)\n", failures);
-    return 1;
+    report.add_note("chaos gate: " + std::to_string(failures) + " failure(s), listed on stderr");
+    return bench.finish(report, 1);
   }
-  std::printf(
-      "\nchaos gate: clean. Detected failures rerouted (LFT epochs above),\n"
-      "undetected flaps were repaired by per-stack recovery, and every flow\n"
-      "that could not recover failed visibly instead of hanging.\n");
-  return 0;
+  report.add_note("chaos gate: clean; detected failures rerouted (lft_epochs), undetected flaps "
+                  "were repaired by per-stack recovery, and every flow that could not recover "
+                  "failed visibly instead of hanging");
+  return bench.finish(report);
 }

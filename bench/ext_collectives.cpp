@@ -1,11 +1,10 @@
 // Extension X5 — collective operations on the 4-node testbed (the paper
 // defers application-level and larger-scale evaluation to future work;
 // collectives are the first step above point-to-point).
-#include <cstdio>
 #include <vector>
 
+#include "core/bench.hpp"
 #include "core/cluster.hpp"
-#include "core/report.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
@@ -68,14 +67,17 @@ double collective_us(Network network, Op op, std::uint32_t bytes, int iters = 12
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const Bench bench("ext_collectives", argc, argv);
   const auto networks = {Network::kIwarp, Network::kIb, Network::kMxoe, Network::kMxom};
   constexpr std::uint32_t kProbeBytes = 4096;
-  std::printf("=== Extension X5: MPI collectives on 4 nodes ===\n");
 
-  Report report("ext_collectives");
+  Report report(bench.report_name());
   report.add_note("barrier/bcast/allreduce/allgather on 4 ranks");
   report.add_note("probe: rank-0 per-iteration allreduce histogram + metrics at 4KB");
+  report.add_note("expected: short-message collectives track point-to-point latency "
+                  "(Myrinet < IB < iWARP); large-message collectives track bandwidth, where IB "
+                  "leads and iWARP's PCI-X ceiling shows");
 
   std::vector<std::string> cols;
   for (Network n : networks) cols.push_back(network_name(n));
@@ -85,7 +87,6 @@ int main() {
     std::vector<double> row;
     for (Network n : networks) row.push_back(collective_us(n, Op::kBarrier, 0));
     table.add_row(4, std::move(row));
-    table.print();
     report.add_table(table);
   }
   for (auto [op, name] : {std::pair{Op::kBcast, "Broadcast"},
@@ -95,27 +96,14 @@ int main() {
     for (std::uint32_t bytes : {64u, 4096u, 65536u, 524288u}) {
       std::vector<double> row;
       for (Network n : networks) {
-        if (op == Op::kAllreduce && bytes == kProbeBytes) {
-          Histogram hist;
-          MetricRegistry metrics;
-          row.push_back(collective_us(n, op, bytes, 12, &hist, &metrics));
-          report.add_histogram(std::string(network_name(n)) + ".allreduce_us", hist);
-          report.add_metrics(metrics, std::string(network_name(n)) + ".");
-        } else {
-          row.push_back(collective_us(n, op, bytes));
-        }
+        Probe probe(op == Op::kAllreduce && bytes == kProbeBytes);
+        row.push_back(collective_us(n, op, bytes, 12, probe.hist(), probe.metrics()));
+        probe.record(report, network_name(n), "allreduce_us");
       }
       table.add_row(bytes, std::move(row));
     }
-    table.print();
     report.add_table(table);
   }
 
-  report.write();
-
-  std::printf(
-      "\nExpected shape: short-message collectives track point-to-point latency\n"
-      "(Myrinet < IB < iWARP); large-message collectives track bandwidth, where\n"
-      "IB leads and iWARP's PCI-X ceiling shows.\n");
-  return 0;
+  return bench.finish(report);
 }

@@ -4,11 +4,10 @@
 // what its TCP underlay buys and costs under incast: goodput vs switch
 // buffer size, with drop and retransmission counts read from the
 // FabricScope metric registry.
-#include <cstdio>
 #include <vector>
 
+#include "core/bench.hpp"
 #include "core/cluster.hpp"
-#include "core/report.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
@@ -80,46 +79,35 @@ IncastResult run(std::uint64_t buffer_bytes, int clients, std::uint32_t chunk,
 
 }  // namespace
 
-int main() {
-  std::printf("=== Extension X9: iWARP incast vs switch buffering ===\n");
+int main(int argc, char** argv) {
+  const Bench bench("ext_congestion", argc, argv);
   constexpr std::uint32_t kChunk = 192 * 1024;
   // Probe the interesting middle of the sweep: buffers too small for the
   // aggregate burst but large enough for useful pipelining.
   constexpr std::uint64_t kProbeBuffer = 48ull << 10;
   constexpr int kProbeClients = 3;
 
-  Report report("ext_congestion");
+  Report report(bench.report_name());
   report.add_note("iWARP incast: goodput vs switch buffer, drops/retransmits from registry");
   report.add_note("probe: per-chunk completion histogram + metrics at 48KB buffer, 3 clients");
+  report.add_note("expected: tiny buffers force repeated go-back-N rounds (goodput collapse, "
+                  "classic TCP incast); once the buffer covers the aggregate burst, drops vanish "
+                  "and goodput pins at the server's PCI-X ceiling");
 
   for (int clients : {2, 3}) {
     Table table(std::to_string(clients) + " clients x 4 x 192 KB into one port", "buffer_bytes",
                 {"goodput MB/s", "drops", "retransmits"});
     for (std::uint64_t buffer : {16ull << 10, 48ull << 10, 128ull << 10, 512ull << 10,
                                  4ull << 20}) {
-      IncastResult r{};
-      if (buffer == kProbeBuffer && clients == kProbeClients) {
-        Histogram hist;
-        MetricRegistry metrics;
-        r = run(buffer, clients, kChunk, &hist, &metrics);
-        report.add_histogram("iwarp.chunk_us", hist);
-        report.add_metrics(metrics, "iwarp.");
-      } else {
-        r = run(buffer, clients, kChunk);
-      }
+      Probe probe(buffer == kProbeBuffer && clients == kProbeClients);
+      const IncastResult r = run(buffer, clients, kChunk, probe.hist(), probe.metrics());
+      probe.record(report, "iwarp", "chunk_us");
       table.add_row(static_cast<double>(buffer),
                     {r.goodput_mbps, static_cast<double>(r.drops),
                      static_cast<double>(r.retransmits)});
     }
-    table.print();
     report.add_table(table);
   }
 
-  report.write();
-
-  std::printf(
-      "\nExpected shape: tiny buffers force repeated go-back-N rounds (goodput\n"
-      "collapse, classic TCP incast); once the buffer covers the aggregate\n"
-      "burst, drops vanish and goodput pins at the server's PCI-X ceiling.\n");
-  return 0;
+  return bench.finish(report);
 }

@@ -24,11 +24,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/report.hpp"
+#include "core/bench.hpp"
 #include "explore/explorer.hpp"
 #include "explore/scenarios.hpp"
 
@@ -43,72 +44,7 @@ struct Options {
   Mutation mutation = Mutation::kNone;
   ExploreBudget budget;
   std::string out_dir = "results/counterexamples";
-  bool quick = false;
 };
-
-void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [quick] [--scenario NAME] [--mutation NAME] [--budget RUNS]\n"
-               "          [--depth N] [--branch N] [--fuzz RUNS] [--seed N] [--no-reduction]\n"
-               "          [--schedule FILE] [--out DIR]\n"
-               "mutations: none | strand_pending_reads | drop_final_ack | leak_credit_on_drain\n"
-               "           (or FABSIM_MUTATION)\n",
-               argv0);
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  // The mutation seam is also reachable via the environment so CI can
-  // flip it without touching the command line of the shared runner.
-  if (const char* env = std::getenv("FABSIM_MUTATION")) {
-    if (!mutation_from_name(env, opt.mutation)) {
-      std::fprintf(stderr, "ext_explore: bad FABSIM_MUTATION '%s'\n", env);
-      return false;
-    }
-  }
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "quick") {
-      opt.quick = true;
-      opt.budget.max_runs = 128;
-      opt.budget.fuzz_runs = 16;
-    } else if (arg == "--scenario") {
-      if (const char* v = value()) opt.scenario = v; else return false;
-    } else if (arg == "--mutation") {
-      const char* v = value();
-      if (v == nullptr || !mutation_from_name(v, opt.mutation)) {
-        std::fprintf(stderr, "ext_explore: bad --mutation\n");
-        return false;
-      }
-    } else if (arg == "--budget") {
-      if (const char* v = value()) opt.budget.max_runs = std::strtoull(v, nullptr, 10);
-      else return false;
-    } else if (arg == "--depth") {
-      if (const char* v = value()) opt.budget.max_depth = std::strtoull(v, nullptr, 10);
-      else return false;
-    } else if (arg == "--branch") {
-      if (const char* v = value())
-        opt.budget.max_branch = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-      else return false;
-    } else if (arg == "--fuzz") {
-      if (const char* v = value()) opt.budget.fuzz_runs = std::strtoull(v, nullptr, 10);
-      else return false;
-    } else if (arg == "--seed") {
-      if (const char* v = value()) opt.budget.seed = std::strtoull(v, nullptr, 10);
-      else return false;
-    } else if (arg == "--no-reduction") {
-      opt.budget.reduction = false;
-    } else if (arg == "--schedule") {
-      if (const char* v = value()) opt.schedule_file = v; else return false;
-    } else if (arg == "--out") {
-      if (const char* v = value()) opt.out_dir = v; else return false;
-    } else {
-      usage(argv[0]);
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Replay mode: load an artifact, steer the named scenario through its
 /// recorded choices, and report whether the recorded failure reproduces.
@@ -150,15 +86,38 @@ int replay_schedule(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  // The mutation seam is also reachable via the environment so CI can
+  // flip it without touching the command line of the shared runner.
+  if (const char* env = std::getenv("FABSIM_MUTATION")) {
+    if (!mutation_from_name(env, opt.mutation)) {
+      std::fprintf(stderr, "ext_explore: bad FABSIM_MUTATION '%s'\n", env);
+      return 2;
+    }
+  }
+  std::optional<std::uint64_t> runs, fuzz;  // unset: quick's or the full sweep's default
+  const core::Bench bench(
+      "ext_explore", argc, argv,
+      {.quick = true,
+       .options = {
+           core::text_option("--scenario", "NAME", opt.scenario),
+           {"--mutation", "none|strand_pending_reads|drop_final_ack|leak_credit_on_drain",
+            [&opt](const std::string& name) { return mutation_from_name(name, opt.mutation); }},
+           core::number_option("--budget", runs),
+           core::number_option("--depth", opt.budget.max_depth),
+           core::number_option("--branch", opt.budget.max_branch),
+           core::number_option("--fuzz", fuzz),
+           core::number_option("--seed", opt.budget.seed),
+           {"--no-reduction", "",
+            [&opt](const std::string&) {
+              opt.budget.reduction = false;
+              return true;
+            }},
+           core::text_option("--schedule", "FILE", opt.schedule_file),
+           core::text_option("--out", "DIR", opt.out_dir),
+       }});
+  opt.budget.max_runs = runs.value_or(bench.quick() ? 128 : opt.budget.max_runs);
+  opt.budget.fuzz_runs = fuzz.value_or(bench.quick() ? 16 : opt.budget.fuzz_runs);
   if (!opt.schedule_file.empty()) return replay_schedule(opt);
-
-  std::printf("=== Extension X13: bounded schedule-space exploration ===\n");
-  std::printf("mutation=%s budget=%llu depth=%zu branch=%u fuzz=%llu seed=%llu reduction=%d\n",
-              mutation_name(opt.mutation),
-              static_cast<unsigned long long>(opt.budget.max_runs), opt.budget.max_depth,
-              opt.budget.max_branch, static_cast<unsigned long long>(opt.budget.fuzz_runs),
-              static_cast<unsigned long long>(opt.budget.seed), opt.budget.reduction);
 
   std::vector<Scenario> scenarios;
   if (opt.scenario.empty()) {
@@ -169,13 +128,15 @@ int main(int argc, char** argv) {
 
   // Quick and mutation runs report under their own names, so neither
   // overwrites the clean default sweep in results/ext_explore.*.
-  std::string report_name = "ext_explore";
-  if (opt.quick) report_name += "_quick";
-  if (opt.mutation != Mutation::kNone) {
-    report_name += std::string("_") + mutation_name(opt.mutation);
-  }
-  core::Report report(report_name);
+  core::Report report(
+      bench.report_name(opt.mutation == Mutation::kNone ? "" : mutation_name(opt.mutation)));
   report.add_note(std::string("mutation=") + mutation_name(opt.mutation));
+  report.add_note("budget: runs=" + std::to_string(opt.budget.max_runs) +
+                  " depth=" + std::to_string(opt.budget.max_depth) +
+                  " branch=" + std::to_string(opt.budget.max_branch) +
+                  " fuzz=" + std::to_string(opt.budget.fuzz_runs) +
+                  " seed=" + std::to_string(opt.budget.seed) +
+                  " reduction=" + std::to_string(opt.budget.reduction));
   report.add_note("search: DFS over co-enabled tie-breaks + seeded fuzz; see "
                   "docs/model_checking.md");
 
@@ -191,13 +152,6 @@ int main(int argc, char** argv) {
     Explorer explorer(std::move(scenario), opt.budget);
     const ExploreResult result = explorer.explore();
     const ExploreStats& s = result.stats;
-    std::printf("%-24s runs=%-5llu decisions=%-4llu enqueued=%-5llu pruned=%-5llu "
-                "exhausted=%d findings=%zu\n",
-                name.c_str(), static_cast<unsigned long long>(s.runs),
-                static_cast<unsigned long long>(s.baseline_decisions),
-                static_cast<unsigned long long>(s.enqueued),
-                static_cast<unsigned long long>(s.pruned), s.frontier_exhausted,
-                result.findings.size());
     table.add_row(row++,
                   {static_cast<double>(s.runs), static_cast<double>(s.baseline_decisions),
                    static_cast<double>(s.enqueued), static_cast<double>(s.pruned),
@@ -215,11 +169,11 @@ int main(int argc, char** argv) {
 
     for (const Finding& finding : result.findings) {
       ++total_findings;
-      std::printf("  FINDING kind=%s rule=%s replay_confirmed=%d choices=%zu (was %zu)\n",
-                  finding_kind_name(finding.kind), finding.rule.c_str(),
-                  finding.replay_confirmed, finding.schedule.choices.size(),
-                  finding.original_choices);
-      std::printf("    %s\n", finding.detail.c_str());
+      report.add_note(name + ": FINDING kind=" + finding_kind_name(finding.kind) +
+                      " rule=" + finding.rule +
+                      " replay_confirmed=" + std::to_string(finding.replay_confirmed) +
+                      " choices=" + std::to_string(finding.schedule.choices.size()) + " (was " +
+                      std::to_string(finding.original_choices) + "): " + finding.detail);
       Schedule artifact = finding.schedule;
       artifact.mutation = mutation_name(opt.mutation);
       std::error_code ec;
@@ -229,11 +183,9 @@ int main(int argc, char** argv) {
       path += std::string("_") + finding_kind_name(finding.kind) + ".json";
       std::ofstream out(path);
       out << artifact.to_json();
-      std::printf("    counterexample: %s\n", path.c_str());
       artifacts.push_back(path);
     }
   }
-  table.print();
   report.add_table(std::move(table));
   report.add_scalar("findings", static_cast<double>(total_findings));
   report.add_scalar("scenarios", static_cast<double>(scenarios.size()));
@@ -242,12 +194,10 @@ int main(int argc, char** argv) {
   registry.counter("sim.events").set(total_events);
   report.add_metrics(registry);
   for (const std::string& path : artifacts) report.add_note("counterexample: " + path);
-  report.write();
-
   if (total_findings != 0) {
-    std::printf("ext_explore: %zu finding(s) — schedule space NOT clean\n", total_findings);
-    return 1;
+    report.add_note(std::to_string(total_findings) + " finding(s): schedule space NOT clean");
+    return bench.finish(report, 1);
   }
-  std::printf("ext_explore: schedule space clean within budget\n");
-  return 0;
+  report.add_note("schedule space clean within budget");
+  return bench.finish(report);
 }

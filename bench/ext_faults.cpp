@@ -13,15 +13,14 @@
 // FabricScope metric registry populated by Cluster::collect_metrics(),
 // not from ad-hoc component accessors, so the numbers printed here are
 // exactly the ones every other bench dumps in its JSON report. Results
-// land in results/ext_faults{,_quick}.{txt,json} via the shared Report
-// helper.
-#include <cstdio>
+// land in results/ext_faults{,_quick}.{txt,json} via the shared bench
+// harness.
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/bench.hpp"
 #include "core/cluster.hpp"
-#include "core/report.hpp"
 #include "fault/plan.hpp"
 
 using namespace fabsim;
@@ -158,13 +157,8 @@ Sample run_mx(double loss, std::uint32_t len, int iters, MetricRegistry* out = n
 }  // namespace
 
 int main(int argc, char** argv) {
-  // quick: a reduced sweep, reported as <name>_quick beside the full run.
-  const bool quick = argc == 2 && std::string(argv[1]) == "quick";
-  if (argc > 1 && !quick) {
-    std::fprintf(stderr, "usage: %s [quick]\n", argv[0]);
-    return 2;
-  }
-  std::printf("=== Extension X11: bandwidth degradation under frame loss ===\n");
+  const Bench bench("ext_faults", argc, argv, {.quick = true});
+  const bool quick = bench.quick();
 
   const std::vector<double> losses =
       quick ? std::vector<double>{0.0, 0.01}
@@ -178,9 +172,17 @@ int main(int argc, char** argv) {
   constexpr std::uint32_t kProbeBytes = 64 * 1024;
   const double worst_loss = losses.back();
 
-  Report report(quick ? "ext_faults_quick" : "ext_faults");
+  Report report(bench.report_name());
   report.add_note("seeded frame loss (seed=42): bandwidth + recovery counters per stack");
   report.add_note("recovery counters read from the FabricScope metric registry");
+  report.add_note("expected: at zero loss every stack matches its lossless bandwidth exactly "
+                  "(the fault plan is inert and the recovery machinery stays cold)");
+  report.add_note("expected: under loss, go-back-N punishes large in-flight windows: IB RC "
+                  "keeps a whole message outstanding and retransmits all of it per gap, so its "
+                  "1M curve collapses fastest; iWARP's 256K TCP window bounds each repair round; "
+                  "MX pays an RTO per first-in-window loss but resends only what is unacked");
+  report.add_note("expected: small messages ride below the loss rate's per-message frame budget "
+                  "and barely notice");
   report.add_scalar("seed", static_cast<double>(kSeed));
 
   std::vector<Sample> samples;
@@ -191,26 +193,20 @@ int main(int argc, char** argv) {
     for (std::uint32_t size : sizes) {
       std::vector<double> row;
       for (double loss : losses) {
-        MetricRegistry probe;
-        Histogram hist;
-        const bool dump = size == kProbeBytes && loss == worst_loss;
-        MetricRegistry* out = dump ? &probe : nullptr;
-        Histogram* h = dump ? &hist : nullptr;
+        Probe probe(size == kProbeBytes && loss == worst_loss);
+        MetricRegistry* out = probe.metrics();
+        Histogram* h = probe.hist();
         Sample s = std::string(stack) == "iWARP"
                        ? run_verbs(iwarp_profile(), loss, size, iters, out, h)
                    : std::string(stack) == "IB"
                        ? run_verbs(ib_profile(), loss, size, iters, out, h)
                        : run_mx(loss, size, iters, out, h);
-        if (dump) {
-          report.add_metrics(probe, std::string(stack) + ".");
-          report.add_histogram(std::string(stack) + ".transfer_us", hist);
-        }
+        probe.record(report, stack, "transfer_us");
         row.push_back(s.mbps);
         samples.push_back(std::move(s));
       }
       table.add_row(size, std::move(row));
     }
-    table.print();
     report.add_table(table);
   }
 
@@ -227,20 +223,8 @@ int main(int argc, char** argv) {
                                 static_cast<double>(s.naks),
                                 static_cast<double>(s.rto_fires)});
     }
-    recovery.print();
     report.add_table(recovery);
   }
 
-  report.write();
-
-  std::printf(
-      "\nExpected shape: at zero loss every stack matches its lossless\n"
-      "bandwidth exactly (the fault plan is inert and the recovery machinery\n"
-      "stays cold). Under loss, go-back-N punishes large in-flight windows:\n"
-      "IB RC keeps a whole message outstanding and retransmits all of it per\n"
-      "gap, so its 1M curve collapses fastest; iWARP's 256K TCP window bounds\n"
-      "each repair round; MX pays an RTO per first-in-window loss but resends\n"
-      "only what is unacked. Small messages ride below the loss rate's\n"
-      "per-message frame budget and barely notice.\n");
-  return 0;
+  return bench.finish(report);
 }

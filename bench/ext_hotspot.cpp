@@ -3,11 +3,10 @@
 // fixed-size messages received via MPI_ANY_SOURCE; we report the
 // aggregate message rate and per-message service latency at the hot rank
 // as the client count grows.
-#include <cstdio>
 #include <vector>
 
+#include "core/bench.hpp"
 #include "core/cluster.hpp"
-#include "core/report.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
@@ -68,17 +67,20 @@ HotspotResult run(Network network, int clients, std::uint32_t msg, int msgs_per_
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const Bench bench("ext_hotspot", argc, argv);
   const auto networks = {Network::kIwarp, Network::kIb, Network::kMxoe, Network::kMxom};
   // FabricScope probe: distribution of the hot rank's per-recv service
   // time (not just the mean) at the heaviest contention point.
   constexpr std::uint32_t kProbeMsg = 4096;
   constexpr int kProbeClients = 3;
-  std::printf("=== Extension X1: hotspot (N clients -> 1 server) ===\n");
 
-  Report report("ext_hotspot");
+  Report report(bench.report_name());
   report.add_note("N clients -> 1 server over MPI_ANY_SOURCE, per-message service time");
   report.add_note("probe: per-recv service-time histogram + metrics at clients=3 msg=4KB");
+  report.add_note("expected: service time per message drops with more clients while the "
+                  "receiving host can keep up (arrival overlap), then flattens at the hot node's "
+                  "ceiling: its link for large messages, its MPI receive path for small ones");
 
   for (std::uint32_t msg : {64u, 4096u, 65536u}) {
     std::vector<std::string> cols;
@@ -90,34 +92,18 @@ int main() {
     for (int clients : {1, 2, 3}) {
       std::vector<double> lrow, brow;
       for (Network n : networks) {
-        HotspotResult r{};
-        if (msg == kProbeMsg && clients == kProbeClients) {
-          Histogram hist;
-          MetricRegistry metrics;
-          r = run(n, clients, msg, 60, &hist, &metrics);
-          report.add_histogram(std::string(network_name(n)) + ".service_us", hist);
-          report.add_metrics(metrics, std::string(network_name(n)) + ".");
-        } else {
-          r = run(n, clients, msg, 60);
-        }
+        Probe probe(msg == kProbeMsg && clients == kProbeClients);
+        const HotspotResult r = run(n, clients, msg, 60, probe.hist(), probe.metrics());
+        probe.record(report, network_name(n), "service_us");
         lrow.push_back(r.per_msg_us);
         brow.push_back(r.aggregate_mbps);
       }
       lat.add_row(clients, std::move(lrow));
       bw.add_row(clients, std::move(brow));
     }
-    lat.print();
-    if (msg >= 4096) bw.print();
     report.add_table(lat);
     if (msg >= 4096) report.add_table(bw);
   }
 
-  report.write();
-
-  std::printf(
-      "\nExpected shape: service time per message drops with more clients while\n"
-      "the receiving host can keep up (arrival overlap), then flattens at the\n"
-      "hot node's ceiling — its link for large messages, its MPI receive path\n"
-      "for small ones.\n");
-  return 0;
+  return bench.finish(report);
 }

@@ -7,14 +7,13 @@
 // recovery), IB rides credit flow control (lossless, but congestion
 // spreads hop by hop as credit stalls). Incast shows the loss-recovery
 // tail; permutation shows how much of the bisection each stack keeps.
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/bench.hpp"
 #include "core/cluster.hpp"
-#include "core/report.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
@@ -156,27 +155,23 @@ struct Fabric {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool full_metrics = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "quick") quick = true;
-    if (arg == "--full") full_metrics = true;
-  }
+  const Bench bench("ext_incast", argc, argv, {.quick = true});
+  const bool quick = bench.quick();
   const auto networks = {Network::kIwarp, Network::kIb, Network::kMxoe};
   constexpr std::uint32_t kChunk = 64 * 1024;  // above every eager threshold
   constexpr std::uint64_t kBuffer = 32ull << 10;
 
-  std::printf("=== Extension X11: incast/permutation on Clos fabrics (%s) ===\n",
-              quick ? "quick" : "full");
-
-  Report report(quick ? "ext_incast_quick" : "ext_incast");
+  Report report(bench.report_name());
   report.add_note("Clos fabrics via topo::Topology; LFT routing; 32KB port buffers");
   report.add_note("link layer per stack: iWARP/MXoE lossy tail-drop, IB credit/PAUSE lossless");
-  report.add_note(full_metrics
-                      ? "probe: per-chunk completion histogram + full metrics at the incast peak"
-                      : "probe: per-chunk completion histogram + aggregate metrics at the "
-                        "incast peak (pass --full for per-node/per-port detail)");
+  report.add_note("probe: per-chunk completion histogram + aggregate metrics at the incast peak");
+  report.add_note("expected: under incast the lossy stacks (iWARP, MXoE) overrun the server "
+                  "port's buffer: tail drops force go-back-N rounds and the p99 chunk latency "
+                  "stretches by whole retransmission timeouts, while IB's credit fabric never "
+                  "drops: backpressure shows up as credit stalls and a much tighter tail");
+  report.add_note("expected: under permutation traffic the non-blocking Clos keeps per-flow "
+                  "goodput roughly flat as the fabric grows; deeper fabrics only add per-hop "
+                  "latency");
 
   // --- Incast: M senders -> node 0 on one fabric --------------------------
   const topo::FabricSpec incast_spec =
@@ -198,23 +193,10 @@ int main(int argc, char** argv) {
     std::vector<double> p99_row, done_row;
     std::vector<double> loss_row(5, 0.0);
     for (Network n : networks) {
-      RunStats s{};
-      if (senders == probe_senders) {
-        Histogram hist;
-        MetricRegistry metrics;
-        s = run(n, incast_spec, incast_endpoints, incast(senders, 0), kChunk, incast_chunks,
-                kBuffer, &hist, &metrics);
-        report.add_histogram(std::string(network_name(n)) + ".chunk_us", hist);
-        if (full_metrics) {
-          report.add_metrics(metrics, std::string(network_name(n)) + ".");
-        } else {
-          report.add_metrics_if(metrics, std::string(network_name(n)) + ".",
-                                Report::aggregate_key);
-        }
-      } else {
-        s = run(n, incast_spec, incast_endpoints, incast(senders, 0), kChunk, incast_chunks,
-                kBuffer);
-      }
+      Probe probe(senders == probe_senders);
+      const RunStats s = run(n, incast_spec, incast_endpoints, incast(senders, 0), kChunk,
+                             incast_chunks, kBuffer, probe.hist(), probe.metrics());
+      probe.record(report, network_name(n), "chunk_us", Report::aggregate_key);
       p99_row.push_back(s.p99_us);
       done_row.push_back(s.completion_ms);
       switch (n) {
@@ -233,9 +215,6 @@ int main(int argc, char** argv) {
     done_table.add_row(senders, std::move(done_row));
     loss_table.add_row(senders, std::move(loss_row));
   }
-  p99_table.print();
-  done_table.print();
-  loss_table.print();
   report.add_table(p99_table);
   report.add_table(done_table);
   report.add_table(loss_table);
@@ -262,20 +241,7 @@ int main(int argc, char** argv) {
     perm_bw.add_row(fabric.endpoints, std::move(bw_row));
     perm_p99.add_row(fabric.endpoints, std::move(p99_row));
   }
-  perm_bw.print();
-  perm_p99.print();
   report.add_table(perm_bw);
   report.add_table(perm_p99);
-
-  report.write();
-
-  std::printf(
-      "\nExpected shape: under incast the lossy stacks (iWARP, MXoE) overrun\n"
-      "the server port's buffer — tail drops force go-back-N rounds and the\n"
-      "p99 chunk latency stretches by whole retransmission timeouts — while\n"
-      "IB's credit fabric never drops: backpressure shows up as credit\n"
-      "stalls and a much tighter tail. Under permutation traffic the\n"
-      "non-blocking Clos keeps per-flow goodput roughly flat as the fabric\n"
-      "grows; deeper fabrics only add per-hop latency.\n");
-  return 0;
+  return bench.finish(report);
 }

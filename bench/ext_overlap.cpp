@@ -9,11 +9,10 @@
 // ratio: available_overlap = (t_blocking + t_compute - t_overlapped) /
 // min(t_blocking, t_compute), clamped to [0, 1].
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
+#include "core/bench.hpp"
 #include "core/cluster.hpp"
-#include "core/report.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
@@ -95,14 +94,18 @@ double overlap_ratio(const OverlapResult& r) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const Bench bench("ext_overlap", argc, argv);
   const auto networks = {Network::kIwarp, Network::kIb, Network::kMxoe, Network::kMxom};
   constexpr std::uint32_t kProbeMsg = 65536;  // rendezvous-size: the interesting regime
-  std::printf("=== Extension X2: computation/communication overlap ===\n");
 
-  Report report("ext_overlap");
+  Report report(bench.report_name());
   report.add_note("sender-side overlap availability via isend+compute+wait");
   report.add_note("probe: overlapped-iteration duration histogram + metrics at msg=64KB");
+  report.add_note("expected: eager-size messages overlap everywhere (the NIC owns the transfer "
+                  "once posted); for rendezvous sizes the MPICH-derived verbs stacks lose "
+                  "overlap (the sender only answers the CTS inside MPI_Wait) while MX keeps "
+                  "progressing autonomously, matching the authors' 2008 follow-up study");
 
   std::vector<std::string> cols;
   for (Network n : networks) cols.push_back(network_name(n));
@@ -110,27 +113,12 @@ int main() {
   for (std::uint32_t msg : {1024u, 8192u, 65536u, 262144u, 1u << 20}) {
     std::vector<double> row;
     for (Network n : networks) {
-      if (msg == kProbeMsg) {
-        Histogram hist;
-        MetricRegistry metrics;
-        row.push_back(overlap_ratio(run(n, msg, &hist, &metrics)));
-        report.add_histogram(std::string(network_name(n)) + ".overlapped_us", hist);
-        report.add_metrics(metrics, std::string(network_name(n)) + ".");
-      } else {
-        row.push_back(overlap_ratio(run(n, msg)));
-      }
+      Probe probe(msg == kProbeMsg);
+      row.push_back(overlap_ratio(run(n, msg, probe.hist(), probe.metrics())));
+      probe.record(report, network_name(n), "overlapped_us");
     }
     table.add_row(msg, std::move(row));
   }
-  table.print();
   report.add_table(table);
-  report.write();
-
-  std::printf(
-      "\nExpected shape: eager-size messages overlap everywhere (the NIC owns\n"
-      "the transfer once posted). For rendezvous sizes the MPICH-derived verbs\n"
-      "stacks lose overlap — the sender only answers the CTS inside MPI_Wait —\n"
-      "while MX keeps progressing autonomously (its handshake lives on the\n"
-      "NIC), matching the authors' 2008 follow-up study.\n");
-  return 0;
+  return bench.finish(report);
 }

@@ -10,18 +10,13 @@
 // scripts/bench_engine.py) plus the prof.* hot-spot breakdown in the
 // metrics section.
 //
-// Args:
-//   quick   smaller sweep (2..8 ranks, probe at 8) writing
-//           results/ext_scaling_quick.* — the CI perf-smoke config
-//   --full  keep per-node/per-rank metric detail in the report instead
-//           of the aggregate trim
-#include <cstdio>
-#include <cstring>
+// `quick` runs a smaller sweep (2..8 ranks, probe at 8) writing
+// results/ext_scaling_quick.*, the CI perf-smoke config.
 #include <string>
 #include <vector>
 
+#include "core/bench.hpp"
 #include "core/cluster.hpp"
-#include "core/report.hpp"
 #include "sim/prof.hpp"
 
 using namespace fabsim;
@@ -93,18 +88,8 @@ double barrier_us(Network network, int ranks, int iters = 10) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool full_metrics = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "quick") quick = true;
-    else if (arg == "--full") full_metrics = true;
-    else {
-      std::fprintf(stderr, "usage: %s [quick] [--full]\n", argv[0]);
-      return 2;
-    }
-  }
-
+  const Bench bench("ext_scaling", argc, argv, {.quick = true});
+  const bool quick = bench.quick();
   const auto networks = {Network::kIwarp, Network::kIb, Network::kMxoe, Network::kMxom};
   // Probe the heaviest configuration: bandwidth-bound allreduce at the
   // largest rank count in the sweep.
@@ -112,15 +97,16 @@ int main(int argc, char** argv) {
   const int probe_ranks = rank_sweep.back();
   constexpr std::uint32_t kProbeDoubles = 4096;
   const int probe_iters = quick ? 4 : 8;
-  std::printf("=== Extension X8: scaling to a %d-node testbed%s ===\n", probe_ranks,
-              quick ? " (quick)" : "");
 
-  Report report(quick ? "ext_scaling_quick" : "ext_scaling");
+  Report report(bench.report_name());
   report.add_note("barrier and allreduce scaling, " + std::to_string(rank_sweep.front()) + ".." +
                   std::to_string(rank_sweep.back()) + " ranks");
-  report.add_note("probe: rank-0 allreduce histogram + metrics + FabricProf host profile at " +
-                  std::to_string(probe_ranks) + " ranks, 32KB" +
-                  (full_metrics ? "" : " (pass --full for per-node/per-rank detail)"));
+  report.add_note("probe: rank-0 allreduce histogram + aggregate metrics + FabricProf host "
+                  "profile at " + std::to_string(probe_ranks) + " ranks, 32KB");
+  report.add_note("expected: log2(N) growth for the small collectives, with the gap between "
+                  "interconnects set by their point-to-point latency; bandwidth-bound allreduce "
+                  "narrows the gap as IB's higher link rate offsets its per-hop latency deficit "
+                  "against Myrinet");
 
   std::vector<std::string> cols;
   for (Network n : networks) cols.push_back(network_name(n));
@@ -132,7 +118,6 @@ int main(int argc, char** argv) {
       for (Network n : networks) row.push_back(barrier_us(n, ranks));
       table.add_row(ranks, std::move(row));
     }
-    table.print();
     report.add_table(table);
   }
   for (std::uint32_t doubles : {8u, 4096u}) {
@@ -142,19 +127,13 @@ int main(int argc, char** argv) {
       std::vector<double> row;
       for (Network n : networks) {
         if (ranks == probe_ranks && doubles == kProbeDoubles) {
-          Histogram hist;
-          MetricRegistry metrics;
+          Probe probe;
           // Host-time profile of the heaviest run: stride 8 keeps the
           // clock off 7 of 8 dispatches, slices stay bounded.
           Profiler profiler(Profiler::Config{.sample_stride = 8, .max_slices = 4096});
-          row.push_back(allreduce_us(n, ranks, doubles, probe_iters, &hist, &metrics, &profiler));
-          report.add_histogram(std::string(network_name(n)) + ".allreduce_us", hist);
-          if (full_metrics) {
-            report.add_metrics(metrics, std::string(network_name(n)) + ".");
-          } else {
-            report.add_metrics_if(metrics, std::string(network_name(n)) + ".",
-                                  Report::aggregate_key);
-          }
+          row.push_back(allreduce_us(n, ranks, doubles, probe_iters, probe.hist(),
+                                     probe.metrics(), &profiler));
+          probe.record(report, network_name(n), "allreduce_us", Report::aggregate_key);
           report.add_scalar(std::string(network_name(n)) + ".events_per_sec",
                             profiler.events_per_sec(), "events/s");
         } else {
@@ -163,16 +142,8 @@ int main(int argc, char** argv) {
       }
       table.add_row(ranks, std::move(row));
     }
-    table.print();
     report.add_table(table);
   }
 
-  report.write();
-
-  std::printf(
-      "\nExpected shape: log2(N) growth for the small collectives, with the gap\n"
-      "between interconnects set by their point-to-point latency; bandwidth-\n"
-      "bound allreduce narrows the gap as IB's higher link rate offsets its\n"
-      "per-hop latency deficit against Myrinet.\n");
-  return 0;
+  return bench.finish(report);
 }

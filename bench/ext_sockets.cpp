@@ -3,10 +3,9 @@
 // include ... sockets"). This is the quantitative version of the paper's
 // framing sentence: iWARP achieves "an unprecedented (TCP) latency for
 // Ethernet" — unprecedented relative to this baseline.
-#include <cstdio>
 #include <memory>
 
-#include "core/report.hpp"
+#include "core/bench.hpp"
 #include "core/runners.hpp"
 #include "hw/fabric.hpp"
 #include "hw/node.hpp"
@@ -53,34 +52,30 @@ double sockets_pingpong_us(std::uint32_t msg, int iters = 30, Histogram* hist = 
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const Bench bench("ext_sockets", argc, argv);
   constexpr std::uint32_t kProbeMsg = 1024;
-  std::printf("=== Extension X6: the Ethernet-Ethernot gap (host TCP vs offload) ===\n");
 
-  Report report("ext_sockets");
+  Report report(bench.report_name());
   report.add_note("host TCP sockets vs offloaded stacks on identical 10GbE hardware");
   report.add_note("probe: sockets and iWARP half-RTT histograms + iWARP metrics at msg=1024B");
+  report.add_note("expected: the offloaded stacks hold a 2-4x latency and 2-3x bandwidth "
+                  "advantage over kernel sockets on the same switch and cables: the gap that "
+                  "makes TOE+RDMA (iWARP) worth the silicon, and the context for the paper's "
+                  "\"unprecedented (TCP) latency for Ethernet\" claim");
 
   Table latency("Half round trip (us) on identical 10GbE hardware", "msg_bytes",
                 {"sockets", "iWARP", "MXoE", "speedup"});
   for (std::uint32_t msg : {8u, 64u, 1024u, 4096u, 16384u, 65536u}) {
-    double sock = 0, iw = 0;
-    if (msg == kProbeMsg) {
-      Histogram sock_hist, iw_hist;
-      MetricRegistry metrics;
-      sock = sockets_pingpong_us(msg, 30, &sock_hist);
-      iw = userlevel_pingpong_latency_us(iwarp_profile(), msg, 30, &iw_hist, &metrics);
-      report.add_histogram("sockets.latency_us", sock_hist);
-      report.add_histogram("iwarp.latency_us", iw_hist);
-      report.add_metrics(metrics, "iwarp.");
-    } else {
-      sock = sockets_pingpong_us(msg);
-      iw = userlevel_pingpong_latency_us(iwarp_profile(), msg);
-    }
+    Probe sock_probe(msg == kProbeMsg), iw_probe(msg == kProbeMsg);
+    const double sock = sockets_pingpong_us(msg, 30, sock_probe.hist());
+    const double iw = userlevel_pingpong_latency_us(iwarp_profile(), msg, 30, iw_probe.hist(),
+                                                    iw_probe.metrics());
+    sock_probe.record(report, "sockets", "latency_us");
+    iw_probe.record(report, "iwarp", "latency_us");
     const double moe = userlevel_pingpong_latency_us(mxoe_profile(), msg);
     latency.add_row(msg, {sock, iw, moe, sock / iw});
   }
-  latency.print();
   report.add_table(latency);
 
   Table bw("One-way bandwidth (MB/s, from latency, 10GbE only)", "msg_bytes",
@@ -90,14 +85,6 @@ int main() {
     bw.add_row(msg, {sock, userlevel_bandwidth_mbps(iwarp_profile(), msg, 6),
                      userlevel_bandwidth_mbps(mxoe_profile(), msg, 6)});
   }
-  bw.print();
   report.add_table(bw);
-  report.write();
-
-  std::printf(
-      "\nThe offloaded stacks hold a 2-4x latency and 2-3x bandwidth advantage\n"
-      "over kernel sockets on the same switch and cables — the gap that makes\n"
-      "TOE+RDMA (iWARP) worth the silicon, and the context for the paper's\n"
-      "\"unprecedented (TCP) latency for Ethernet\" claim.\n");
-  return 0;
+  return bench.finish(report);
 }

@@ -2,10 +2,8 @@
 // (the paper's future work: "We intend to extend our study to include
 // udapl, sockets, and applications"). Measures what the DAT abstraction
 // layer costs on top of each provider.
-#include <cstdio>
-
+#include "core/bench.hpp"
 #include "core/cluster.hpp"
-#include "core/report.hpp"
 #include "core/runners.hpp"
 #include "udapl/udapl.hpp"
 
@@ -64,40 +62,28 @@ double udapl_pingpong_us(Network network, std::uint32_t msg, int iters = 24,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const Bench bench("ext_udapl", argc, argv);
   constexpr std::uint32_t kProbeMsg = 4096;
-  std::printf("=== Extension X7: uDAPL over iWARP and IB ===\n");
 
-  Report report("ext_udapl");
+  Report report(bench.report_name());
   report.add_note("uDAPL RDMA-write ping-pong vs raw verbs, iWARP and IB");
   report.add_note("probe: uDAPL half-RTT histogram + metrics at msg=4KB");
+  report.add_note("expected: a fixed few-hundred-nanosecond dispatch cost per operation, "
+                  "vanishing in relative terms as messages grow: the DAT layer is thin by design");
 
   for (Network network : {Network::kIwarp, Network::kIb}) {
     Table table(std::string("RDMA-write ping-pong latency (us) — ") + network_name(network),
                 "msg_bytes", {"verbs", "uDAPL", "overhead_us"});
     for (std::uint32_t msg : {8u, 256u, 4096u, 65536u, 262144u}) {
       const double raw = userlevel_pingpong_latency_us(profile(network), msg);
-      double dapl = 0;
-      if (msg == kProbeMsg) {
-        Histogram hist;
-        MetricRegistry metrics;
-        dapl = udapl_pingpong_us(network, msg, 24, &hist, &metrics);
-        report.add_histogram(std::string(network_name(network)) + ".udapl_latency_us", hist);
-        report.add_metrics(metrics, std::string(network_name(network)) + ".");
-      } else {
-        dapl = udapl_pingpong_us(network, msg);
-      }
+      Probe probe(msg == kProbeMsg);
+      const double dapl = udapl_pingpong_us(network, msg, 24, probe.hist(), probe.metrics());
+      probe.record(report, network_name(network), "udapl_latency_us");
       table.add_row(msg, {raw, dapl, dapl - raw});
     }
-    table.print();
     report.add_table(table);
   }
 
-  report.write();
-
-  std::printf(
-      "\nExpected shape: a fixed few-hundred-nanosecond dispatch cost per\n"
-      "operation, vanishing in relative terms as messages grow — the DAT\n"
-      "layer is thin by design.\n");
-  return 0;
+  return bench.finish(report);
 }

@@ -4,14 +4,23 @@
 // the paper names should be the one pinned near 100%.
 #include <cstdio>
 
+#include "core/bench.hpp"
 #include "core/cluster.hpp"
-#include "core/report.hpp"
 #include "core/runners.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
 
 namespace {
+
+/// The transfer's duration and the resource the paper names as its bound.
+void add_transfer_note(Report& report, const std::string& transfer, Time elapsed,
+                       const char* paper_bound) {
+  char line[160];
+  std::snprintf(line, sizeof(line), "%s: %.0f us; paper bound: %s", transfer.c_str(),
+                to_us(elapsed), paper_bound);
+  report.add_note(line);
+}
 
 void run_verbs(Network network, Report& report) {
   Cluster cluster(2, network);
@@ -43,31 +52,27 @@ void run_verbs(Network network, Report& report) {
   cluster.collect_metrics(registry);
 
   const double span = static_cast<double>(end - start);
-  auto pct = [span](Time busy) { return 100.0 * static_cast<double>(busy) / span; };
   const std::string prefix = std::string(network_name(network)) + ".";
-  auto emit = [&](const char* label, const char* key, double value, const char* note = "") {
-    std::printf("  %-21s %5.1f%%%s\n", label, value, note);
-    report.add_scalar(prefix + key, value, "%");
+  auto emit = [&](const char* key, Time busy) {
+    report.add_scalar(prefix + key, 100.0 * static_cast<double>(busy) / span, "%");
   };
 
-  std::printf("%s one-way 8 MB RDMA write (%.0f us):\n", network_name(network),
-              to_us(end - start));
   if (network == Network::kIwarp) {
-    emit("sender tx engine", "sender_tx_engine_pct", pct(cluster.rnic(0).tx_engine_busy_time()),
-         "   <- paper: engine-rate bound (~880 MB/s)");
-    emit("sender PCI-X bus", "sender_pcix_pct", pct(cluster.rnic(0).pcix_busy_time()));
-    emit("sender 10GbE link", "sender_link_pct", pct(cluster.rnic(0).tx_link_busy_time()));
-    emit("receiver rx engine", "receiver_rx_engine_pct",
-         pct(cluster.rnic(1).rx_engine_busy_time()));
-    emit("receiver PCI-X bus", "receiver_pcix_pct", pct(cluster.rnic(1).pcix_busy_time()));
+    add_transfer_note(report, "iWARP one-way 8 MB RDMA write", end - start,
+                      "sender_tx_engine_pct, engine-rate bound (~880 MB/s)");
+    emit("sender_tx_engine_pct", cluster.rnic(0).tx_engine_busy_time());
+    emit("sender_pcix_pct", cluster.rnic(0).pcix_busy_time());
+    emit("sender_link_pct", cluster.rnic(0).tx_link_busy_time());
+    emit("receiver_rx_engine_pct", cluster.rnic(1).rx_engine_busy_time());
+    emit("receiver_pcix_pct", cluster.rnic(1).pcix_busy_time());
   } else {
-    emit("sender IB link", "sender_link_pct", pct(cluster.hca(0).tx_link_busy_time()),
-         "   <- paper: link bound (97% of 1 GB/s)");
-    emit("sender proc engine", "sender_proc_pct", pct(cluster.hca(0).proc_busy_time()));
-    emit("sender DMA engine", "sender_dma_pct", pct(cluster.hca(0).dma_busy_time()));
-    emit("receiver DMA engine", "receiver_dma_pct", pct(cluster.hca(1).dma_busy_time()));
+    add_transfer_note(report, "IB one-way 8 MB RDMA write", end - start,
+                      "sender_link_pct, link bound (97% of 1 GB/s)");
+    emit("sender_link_pct", cluster.hca(0).tx_link_busy_time());
+    emit("sender_proc_pct", cluster.hca(0).proc_busy_time());
+    emit("sender_dma_pct", cluster.hca(0).dma_busy_time());
+    emit("receiver_dma_pct", cluster.hca(1).dma_busy_time());
   }
-  std::printf("\n");
   report.add_metrics(registry, prefix);
 }
 
@@ -104,32 +109,29 @@ void run_mx(Network network, Report& report) {
   // Busy counters include the warmup pass; both passes move the same
   // bytes, so halving them approximates the measured pass's share.
   const double span = static_cast<double>(end - start);
-  auto pct = [span](Time busy) { return 100.0 * static_cast<double>(busy) / 2.0 / span; };
   const std::string prefix = std::string(network_name(network)) + ".";
-  auto emit = [&](const char* label, const char* key, double value, const char* note = "") {
-    std::printf("  %-21s %5.1f%%%s\n", label, value, note);
-    report.add_scalar(prefix + key, value, "%");
+  auto emit = [&](const char* key, Time busy) {
+    report.add_scalar(prefix + key, 100.0 * static_cast<double>(busy) / 2.0 / span, "%");
   };
-  std::printf("%s one-way 8 MB rendezvous (%.0f us):\n", network_name(network),
-              to_us(end - start));
-  emit("sender PCIe x4 (read)", "sender_pcie_read_pct",
-       pct(cluster.node(0).pcie().read_busy_time()),
-       "   <- paper: forced-x4 bound (<=75% of 10G)");
-  emit("sender NIC DMA engine", "sender_dma_pct", pct(cluster.endpoint(0).dma_busy_time()));
-  emit("sender 10G link", "sender_link_pct", pct(cluster.endpoint(0).tx_link_busy_time()));
-  emit("receiver NIC DMA", "receiver_dma_pct", pct(cluster.endpoint(1).dma_busy_time()));
-  std::printf("\n");
+  add_transfer_note(report, std::string(network_name(network)) + " one-way 8 MB rendezvous",
+                    end - start, "sender_pcie_read_pct, forced-x4 bound (<=75% of 10G)");
+  emit("sender_pcie_read_pct", cluster.node(0).pcie().read_busy_time());
+  emit("sender_dma_pct", cluster.endpoint(0).dma_busy_time());
+  emit("sender_link_pct", cluster.endpoint(0).tx_link_busy_time());
+  emit("receiver_dma_pct", cluster.endpoint(1).dma_busy_time());
   report.add_metrics(registry, prefix);
 }
 
 }  // namespace
 
-int main() {
-  std::printf("=== Extension X11: resource utilization at saturation ===\n\n");
+int main(int argc, char** argv) {
+  const Bench bench("ext_utilization", argc, argv);
 
-  Report report("ext_utilization");
+  Report report(bench.report_name());
   report.add_note("resource utilization during a saturating 8 MB one-way transfer");
   report.add_note("probe: 1KB user-level latency histograms for the same three networks");
+  report.add_note("expected: the resource DESIGN.md names as each network's bottleneck sits "
+                  "near 100% while everything else idles below it");
 
   run_verbs(Network::kIwarp, report);
   run_verbs(Network::kIb, report);
@@ -138,14 +140,9 @@ int main() {
   // Latency-distribution probe so the report carries p50/p99 alongside
   // the saturation utilization numbers.
   for (Network n : {Network::kIwarp, Network::kIb, Network::kMxom}) {
-    Histogram hist;
-    userlevel_pingpong_latency_us(profile(n), 1024, 30, &hist);
-    report.add_histogram(std::string(network_name(n)) + ".latency_us", hist);
+    Probe probe;
+    userlevel_pingpong_latency_us(profile(n), 1024, 30, probe.hist());
+    probe.record(report, network_name(n), "latency_us");
   }
-  report.write();
-
-  std::printf(
-      "The resource DESIGN.md names as each network's bottleneck should sit\n"
-      "near 100%% while everything else idles below it.\n");
-  return 0;
+  return bench.finish(report);
 }

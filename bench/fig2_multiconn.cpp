@@ -1,24 +1,18 @@
 // Figure 2: normalized multiple-connection latency and aggregate
 // throughput for NetEffect iWARP vs Mellanox IB over the common verbs
 // interface, 1..256 connections between two nodes.
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "core/report.hpp"
+#include "core/bench.hpp"
 #include "core/runners.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
 
 int main(int argc, char** argv) {
-  // quick: a reduced sweep, reported as <name>_quick beside the full run.
-  const bool quick = argc == 2 && std::string(argv[1]) == "quick";
-  if (argc > 1 && !quick) {
-    std::fprintf(stderr, "usage: %s [quick]\n", argv[0]);
-    return 2;
-  }
-  std::printf("=== Figure 2: multi-connection scalability (paper Sec. 5.1) ===\n");
+  const Bench bench("fig2_multiconn", argc, argv, {.quick = true});
+  const bool quick = bench.quick();
 
   const std::vector<int> connections =
       quick ? std::vector<int>{1, 4, 16, 64} : std::vector<int>{1, 2, 4, 8, 16, 32, 64, 128, 256};
@@ -28,9 +22,14 @@ int main(int argc, char** argv) {
   constexpr int kProbeConns = 16;
   constexpr std::uint32_t kProbeMsg = 1024;
 
-  Report report(quick ? "fig2_multiconn_quick" : "fig2_multiconn");
+  Report report(bench.report_name());
   report.add_note("multi-connection scalability, iWARP vs IB over common verbs");
   report.add_note("probe: per-round normalized latency histogram + metrics at conns=16 msg=1024B");
+  report.add_note("paper: iWARP normalized latency keeps dropping up to 128 connections "
+                  "(pipelined protocol engine); IB improves only up to 8 connections, then "
+                  "serializes (QP context cache misses on the MemFree card)");
+  report.add_note("paper: IB small-message throughput drops at 8+ connections, iWARP sustains; "
+                  "behaviour converges for messages > 4 KB");
 
   for (Network network : {Network::kIwarp, Network::kIb}) {
     std::vector<std::string> cols;
@@ -41,20 +40,13 @@ int main(int argc, char** argv) {
     for (int c : connections) {
       std::vector<double> row;
       for (auto m : lat_sizes) {
-        if (c == kProbeConns && m == kProbeMsg) {
-          Histogram hist;
-          MetricRegistry metrics;
-          row.push_back(multiconn_normalized_latency_us(profile(network), c, m, 16, &hist,
-                                                        &metrics));
-          report.add_histogram(std::string(network_name(network)) + ".norm_latency_us", hist);
-          report.add_metrics(metrics, std::string(network_name(network)) + ".");
-        } else {
-          row.push_back(multiconn_normalized_latency_us(profile(network), c, m));
-        }
+        Probe probe(c == kProbeConns && m == kProbeMsg);
+        row.push_back(multiconn_normalized_latency_us(profile(network), c, m, 16, probe.hist(),
+                                                      probe.metrics()));
+        probe.record(report, network_name(network), "norm_latency_us");
       }
       latency.add_row(c, std::move(row));
     }
-    latency.print();
     report.add_table(latency);
   }
 
@@ -71,17 +63,8 @@ int main(int argc, char** argv) {
       }
       tput.add_row(c, std::move(row));
     }
-    tput.print();
     report.add_table(tput);
   }
 
-  report.write();
-
-  std::printf(
-      "\nPaper reference shape: iWARP normalized latency keeps dropping up to 128\n"
-      "connections (pipelined protocol engine); IB improves only up to 8\n"
-      "connections, then serializes (QP context cache misses on the MemFree\n"
-      "card). Throughput mirrors it: IB small-message throughput drops at 8+\n"
-      "connections, iWARP sustains. Behaviour converges for messages > 4 KB.\n");
-  return 0;
+  return bench.finish(report);
 }

@@ -1,21 +1,22 @@
 // Figure 3: MPI inter-node ping-pong latency and the MPI layer's latency
 // overhead over the respective user-level library.
-#include <cstdio>
-
-#include "core/report.hpp"
+#include "core/bench.hpp"
 #include "core/runners.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
 
-int main() {
+int main(int argc, char** argv) {
+  const Bench bench("fig3_mpi_latency", argc, argv);
   const auto networks = {Network::kIwarp, Network::kIb, Network::kMxoe, Network::kMxom};
   constexpr std::uint32_t kProbeMsg = 1024;
-  std::printf("=== Figure 3: MPI ping-pong latency and overhead (paper Sec. 6.1) ===\n");
 
-  Report report("fig3_mpi_latency");
+  Report report(bench.report_name());
   report.add_note("MPI ping-pong latency and MPI-over-user-level overhead");
   report.add_note("probe: per-iteration half-RTT histogram + metrics at msg=1024B");
+  report.add_note("paper: short-message MPI latency ~10.7 (iWARP), 4.8 (IB), 3.6 (MXoE), "
+                  "3.3 (MXoM) us; MPICH-MX has the lowest overhead since MX semantics are "
+                  "closest to MPI");
 
   Table latency("MPI inter-node latency (us, half RTT)", "msg_bytes",
                 {"iWARP", "IB", "MXoE", "MXoM"});
@@ -25,32 +26,18 @@ int main() {
     std::vector<double> lat_row, ovh_row;
     for (Network n : networks) {
       const double user = userlevel_pingpong_latency_us(profile(n), msg);
-      double mpi = 0;
-      if (msg == kProbeMsg) {
-        Histogram hist;
-        MetricRegistry metrics;
-        mpi = mpi_pingpong_latency_us(profile(n), msg, 30, &hist, &metrics);
-        report.add_histogram(std::string(network_name(n)) + ".latency_us", hist);
-        report.add_metrics(metrics, std::string(network_name(n)) + ".");
-      } else {
-        mpi = mpi_pingpong_latency_us(profile(n), msg);
-      }
+      Probe probe(msg == kProbeMsg);
+      const double mpi =
+          mpi_pingpong_latency_us(profile(n), msg, 30, probe.hist(), probe.metrics());
+      probe.record(report, network_name(n), "latency_us");
       lat_row.push_back(mpi);
       ovh_row.push_back((mpi - user) / user * 100.0);
     }
     latency.add_row(msg, std::move(lat_row));
     overhead.add_row(msg, std::move(ovh_row));
   }
-  latency.print();
-  overhead.print();
 
   report.add_table(latency);
   report.add_table(overhead);
-  report.write();
-
-  std::printf(
-      "\nPaper reference points: short-message MPI latency ~10.7 (iWARP), 4.8\n"
-      "(IB), 3.6 (MXoE), 3.3 (MXoM) us; MPICH-MX has the lowest overhead since\n"
-      "MX semantics are closest to MPI.\n");
-  return 0;
+  return bench.finish(report);
 }

@@ -3,31 +3,31 @@
 // cross-check: the same decomposition regenerated bottom-up from the
 // engine's measured per-phase time attribution (host / NIC / wire),
 // rather than from the protocol-level timing probes.
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "core/report.hpp"
+#include "core/bench.hpp"
 #include "core/runners.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
 
 int main(int argc, char** argv) {
-  // quick: a reduced sweep, reported as <name>_quick beside the full run.
-  const bool quick = argc == 2 && std::string(argv[1]) == "quick";
-  if (argc > 1 && !quick) {
-    std::fprintf(stderr, "usage: %s [quick]\n", argv[0]);
-    return 2;
-  }
+  const Bench bench("fig5_logp", argc, argv, {.quick = true});
+  const bool quick = bench.quick();
   const auto networks = {Network::kIwarp, Network::kIb, Network::kMxoe, Network::kMxom};
   constexpr std::uint32_t kProbeMsg = 1024;
-  std::printf("=== Figure 5: LogP parameters (paper Sec. 6.3) ===\n");
 
-  Report report(quick ? "fig5_logp_quick" : "fig5_logp");
+  Report report(bench.report_name());
   report.add_note("LogP g/Os/Or via Kielmann's method, all four MPI stacks");
   report.add_note("probe: Os/Or call-duration histograms + metrics at msg=1024B");
   report.add_note("breakdown tables: measured per-phase attribution (FabricScope), not closed form");
+  report.add_note("paper: ~1 us overheads for very short messages; the receiver overhead jumps "
+                  "at the eager/rendezvous switch for iWARP and IB (the receiving process "
+                  "performs the rendezvous), but not for Myrinet (MX progresses large transfers "
+                  "autonomously)");
+  report.add_note("expected: the measured breakdown tells the same story bottom-up: host time "
+                  "dominates short messages, wire+NIC time dominates large ones");
 
   Table gap("LogP gap g(m) (us)", "msg_bytes", {"iWARP", "IB", "MXoE", "MXoM"});
   Table os("LogP sender overhead Os(m) (us)", "msg_bytes", {"iWARP", "IB", "MXoE", "MXoM"});
@@ -35,17 +35,14 @@ int main(int argc, char** argv) {
   for (std::uint32_t msg : pow2_sizes(1, quick ? 64 * 1024 : 1 << 20)) {
     std::vector<double> g, o_s, o_r;
     for (Network n : networks) {
-      LogpPoint point;
-      if (msg == kProbeMsg) {
-        Histogram os_hist, or_hist;
-        MetricRegistry metrics;
-        point = logp_parameters(profile(n), msg, 16, &os_hist, &or_hist, &metrics);
-        report.add_histogram(std::string(network_name(n)) + ".os_us", os_hist);
-        report.add_histogram(std::string(network_name(n)) + ".or_us", or_hist);
-        report.add_metrics(metrics, std::string(network_name(n)) + ".");
-      } else {
-        point = logp_parameters(profile(n), msg, msg >= (1 << 19) ? 8 : 16);
-      }
+      // One registry per point: the Os probe carries it, the Or probe
+      // adds only its histogram.
+      Probe os_probe(msg == kProbeMsg), or_probe(msg == kProbeMsg);
+      const LogpPoint point = logp_parameters(profile(n), msg, msg >= (1 << 19) ? 8 : 16,
+                                              os_probe.hist(), or_probe.hist(),
+                                              os_probe.metrics());
+      os_probe.record(report, network_name(n), "os_us");
+      or_probe.record(report, network_name(n), "or_us");
       g.push_back(point.gap_us);
       o_s.push_back(point.os_us);
       o_r.push_back(point.or_us);
@@ -54,9 +51,6 @@ int main(int argc, char** argv) {
     os.add_row(msg, std::move(o_s));
     ores.add_row(msg, std::move(o_r));
   }
-  gap.print();
-  os.print();
-  ores.print();
   report.add_table(gap);
   report.add_table(os);
   report.add_table(ores);
@@ -76,18 +70,8 @@ int main(int argc, char** argv) {
       const PhaseBreakdown b = mpi_phase_breakdown(profile(n), msg, quick ? 12 : 24);
       breakdown.add_row(msg, {b.host_us, b.nic_us, b.wire_us, b.total_us});
     }
-    breakdown.print();
     report.add_table(breakdown);
   }
 
-  report.write();
-
-  std::printf(
-      "\nPaper reference shape: ~1 us overheads for very short messages; the\n"
-      "receiver overhead jumps dramatically at the eager/rendezvous switch for\n"
-      "iWARP and IB (the receiving process performs the rendezvous), but NOT\n"
-      "for Myrinet (MX progresses large transfers autonomously).\n"
-      "The measured breakdown shows the same story bottom-up: host time\n"
-      "dominates short messages, wire+NIC time dominates large ones.\n");
-  return 0;
+  return bench.finish(report);
 }

@@ -4,7 +4,9 @@
 # schedule (detected link/switch-down windows + silent flaps) over the
 # same Clos fabrics and load; the bench exits non-zero if any seed
 # produces a FabricCheck violation, a digest divergence between
-# identical runs, or a silently-hung flow.
+# identical runs, or a silently-hung flow. Each seed other than the
+# default (7) writes results/ext_chaos[_quick]_seed<N>.* (gitignored), so
+# the committed results/ext_chaos[_quick].* stay the default seed's.
 #
 # Usage: scripts/chaos_soak.sh [build-dir] [seed ...]
 #   build-dir   default: build

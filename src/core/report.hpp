@@ -2,8 +2,8 @@
 //
 // Every bench builds one Report, fills it with tables (the figure
 // series), latency histograms (exact percentiles), named scalars, and a
-// MetricRegistry snapshot, then calls print() for stdout and
-// write("results") to persist <name>.txt and <name>.json side by side.
+// MetricRegistry snapshot; the bench harness (core/bench.hpp) then
+// prints it and persists <name>.txt and <name>.json side by side.
 // The JSON is emitted by hand (no dependency) and round-trips through
 // sim/json.hpp's validator in the test suite.
 #pragma once
@@ -122,20 +122,22 @@ class Report {
   /// entries when one report merges registries from several runs
   /// (e.g. one probe per network).
   void add_metrics(const MetricRegistry& registry, const std::string& prefix = "") {
-    for (const auto& [key, value] : registry.snapshot()) {
-      metrics_.push_back({prefix + key, value});
-    }
+    add_metrics_if(registry, prefix, [](const std::string&) { return true; });
   }
 
   /// Filtered variant: keep only the entries `keep(key)` approves.
   /// Benches on large fabrics use it to persist aggregate counters
   /// (fabric totals, sim.digest, check.*) without thousands of lines of
-  /// per-node/per-port detail; their --full flag switches back to the
-  /// unfiltered dump.
+  /// per-node/per-port detail.
   template <typename Keep>
   void add_metrics_if(const MetricRegistry& registry, const std::string& prefix, Keep&& keep) {
+    // snapshot() orders the entries but reads counters as doubles, which
+    // round a 64-bit sim.digest; take each counter's exact value instead.
     for (const auto& [key, value] : registry.snapshot()) {
-      if (keep(key)) metrics_.push_back({prefix + key, value});
+      if (!keep(key)) continue;
+      const bool is_counter = registry.has_counter(key);
+      metrics_.push_back({prefix + key, value, is_counter,
+                          is_counter ? registry.counter_value(key) : 0});
     }
   }
 
@@ -169,14 +171,19 @@ class Report {
     }
     if (!metrics_.empty()) {
       std::fprintf(out, "\n## metrics\n");
-      for (const auto& [key, value] : metrics_) {
-        std::fprintf(out, "%-44s %.3f\n", key.c_str(), value);
+      for (const Metric& m : metrics_) {
+        if (m.is_counter) {
+          std::fprintf(out, "%-44s %llu\n", m.key.c_str(),
+                       static_cast<unsigned long long>(m.count));
+        } else {
+          std::fprintf(out, "%-44s %.3f\n", m.key.c_str(), m.value);
+        }
       }
     }
   }
 
   /// Write <dir>/<name>.txt and .json. Returns false if either file
-  /// could not be opened (bench keeps going; stdout already has it all).
+  /// could not be written.
   bool write(const std::string& dir = "results") const {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
@@ -218,7 +225,9 @@ class Report {
     out += "  \"metrics\": {";
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       if (i) out += ",";
-      out += "\n    \"" + minijson::escape(metrics_[i].first) + "\": " + num(metrics_[i].second);
+      const Metric& m = metrics_[i];
+      out += "\n    \"" + minijson::escape(m.key) +
+             "\": " + (m.is_counter ? std::to_string(m.count) : num(m.value));
     }
     out += metrics_.empty() ? "}\n" : "\n  }\n";
     out += "}\n";
@@ -230,6 +239,15 @@ class Report {
     std::string key;
     double value;
     std::string unit;
+  };
+
+  /// Counters stay exact 64-bit integers; gauges and phase totals are
+  /// doubles.
+  struct Metric {
+    std::string key;
+    double value = 0;
+    bool is_counter = false;
+    std::uint64_t count = 0;
   };
 
   struct HistSummary {
@@ -285,8 +303,8 @@ class Report {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;
     fn(f);
-    std::fclose(f);
-    return true;
+    const bool written = std::ferror(f) == 0;
+    return std::fclose(f) == 0 && written;
   }
 
   std::string name_;
@@ -294,7 +312,7 @@ class Report {
   std::vector<Scalar> scalars_;
   std::vector<Table> tables_;
   std::vector<HistSummary> hists_;
-  std::vector<std::pair<std::string, double>> metrics_;
+  std::vector<Metric> metrics_;
 };
 
 }  // namespace fabsim::core
