@@ -1,23 +1,18 @@
 // Extension X8 — a larger testbed (the paper's closing future-work item:
 // "We plan to put these networks to the test in a larger testbed").
 // Scales the simulated cluster to 16 nodes and measures how the
-// interconnects' collective performance diverges with rank count.
-//
-// This is also the perf-trajectory workload: the heaviest configuration
-// (16 ranks, bandwidth-bound allreduce) re-runs with a FabricProf
-// profiler attached, publishing host events/sec per network as
-// <net>.events_per_sec scalars (scraped into BENCH_engine.json by
-// scripts/bench_engine.py) plus the prof.* hot-spot breakdown in the
-// metrics section.
+// interconnects' collective performance diverges with rank count. The
+// heaviest configuration (the largest rank count, bandwidth-bound
+// allreduce) is the probe point: its rank-0 histogram and aggregate
+// metrics go into the report.
 //
 // `quick` runs a smaller sweep (2..8 ranks, probe at 8) writing
-// results/ext_scaling_quick.*, the CI perf-smoke config.
+// results/ext_scaling_quick.*.
 #include <string>
 #include <vector>
 
 #include "core/bench.hpp"
 #include "core/cluster.hpp"
-#include "sim/prof.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
@@ -25,13 +20,11 @@ using namespace fabsim::core;
 namespace {
 
 double allreduce_us(Network network, int ranks, std::uint32_t count_doubles, int iters = 8,
-                    Histogram* hist = nullptr, MetricRegistry* metrics = nullptr,
-                    Profiler* profiler = nullptr) {
+                    Histogram* hist = nullptr, MetricRegistry* metrics = nullptr) {
   NetworkProfile p = profile(network);
   p.mpi.eager_buffers = 64;  // keep the N^2 mesh memory bounded at 16 ranks
   Cluster cluster(ranks, p);
   if (metrics != nullptr) cluster.engine().set_metrics(metrics);
-  if (profiler != nullptr) cluster.attach_profiler(*profiler);
   const std::uint32_t bytes = count_doubles * sizeof(double);
   std::vector<hw::Buffer*> data, scratch;
   for (int r = 0; r < ranks; ++r) {
@@ -101,8 +94,8 @@ int main(int argc, char** argv) {
   Report report(bench.report_name());
   report.add_note("barrier and allreduce scaling, " + std::to_string(rank_sweep.front()) + ".." +
                   std::to_string(rank_sweep.back()) + " ranks");
-  report.add_note("probe: rank-0 allreduce histogram + aggregate metrics + FabricProf host "
-                  "profile at " + std::to_string(probe_ranks) + " ranks, 32KB");
+  report.add_note("probe: rank-0 allreduce histogram + aggregate metrics at " +
+                  std::to_string(probe_ranks) + " ranks, 32KB");
   report.add_note("expected: log2(N) growth for the small collectives, with the gap between "
                   "interconnects set by their point-to-point latency; bandwidth-bound allreduce "
                   "narrows the gap as IB's higher link rate offsets its per-hop latency deficit "
@@ -126,19 +119,10 @@ int main(int argc, char** argv) {
     for (int ranks : rank_sweep) {
       std::vector<double> row;
       for (Network n : networks) {
-        if (ranks == probe_ranks && doubles == kProbeDoubles) {
-          Probe probe;
-          // Host-time profile of the heaviest run: stride 8 keeps the
-          // clock off 7 of 8 dispatches, slices stay bounded.
-          Profiler profiler(Profiler::Config{.sample_stride = 8, .max_slices = 4096});
-          row.push_back(allreduce_us(n, ranks, doubles, probe_iters, probe.hist(),
-                                     probe.metrics(), &profiler));
-          probe.record(report, network_name(n), "allreduce_us", Report::aggregate_key);
-          report.add_scalar(std::string(network_name(n)) + ".events_per_sec",
-                            profiler.events_per_sec(), "events/s");
-        } else {
-          row.push_back(allreduce_us(n, ranks, doubles, probe_iters));
-        }
+        Probe probe(ranks == probe_ranks && doubles == kProbeDoubles);
+        row.push_back(
+            allreduce_us(n, ranks, doubles, probe_iters, probe.hist(), probe.metrics()));
+        probe.record(report, network_name(n), "allreduce_us", Report::aggregate_key);
       }
       table.add_row(ranks, std::move(row));
     }

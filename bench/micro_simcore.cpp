@@ -1,13 +1,19 @@
 // google-benchmark microbenchmarks of the simulation core itself:
-// event throughput, coroutine context switches, resource booking, and a
-// full iWARP RDMA-write transfer as an end-to-end figure of merit.
+// event throughput, coroutine context switches, resource booking, a
+// full iWARP RDMA-write transfer, and a steady-state 16-rank MPI
+// allreduce per network as end-to-end figures of merit. This binary is
+// the only producer of host-time numbers: scripts/bench_engine.py
+// records its events_per_sec counters in the BENCH_engine.json
+// trajectory.
 //
 // The *Profiled variants re-run a workload with a FabricProf profiler
 // attached: the events/sec delta against the detached twin is the
 // measured profiler overhead, and the prof_* counters surface where the
-// host time and heap churn go (scripts/bench_engine.py records both
-// sides in the BENCH_engine.json trajectory).
+// host time and heap churn go.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "core/cluster.hpp"
 #include "sim/engine.hpp"
@@ -169,6 +175,50 @@ void BM_IwarpRdmaWrite64K(benchmark::State& state) {
   report_event_rate(state, events);
 }
 BENCHMARK(BM_IwarpRdmaWrite64K);
+
+/// Steady-state MPI allreduce: 16 ranks, 4096 doubles, 64 eager slots
+/// per peer. Cluster build, setup_mpi(), the first barrier and the
+/// cluster's destruction run outside the timed loop; each iteration is
+/// one allreduce over all ranks, and events_per_sec counts only the
+/// events those allreduces dispatch.
+void BM_AllreduceSteadyState(benchmark::State& state, core::Network network) {
+  constexpr int kRanks = 16;
+  constexpr std::uint32_t kDoubles = 4096;
+  core::NetworkProfile profile = core::profile(network);
+  profile.mpi.eager_buffers = 64;  // keep the N^2 mesh memory bounded at 16 ranks
+  core::Cluster cluster(kRanks, profile);
+  std::vector<std::uint64_t> data, scratch;
+  for (int r = 0; r < kRanks; ++r) {
+    data.push_back(cluster.node(r).mem().alloc(kDoubles * sizeof(double), false).addr());
+    scratch.push_back(cluster.node(r).mem().alloc(kDoubles * sizeof(double), false).addr());
+  }
+  for (int r = 0; r < kRanks; ++r) {
+    cluster.engine().spawn([](core::Cluster& c, int me) -> Task<> {
+      co_await c.setup_mpi();
+      co_await c.mpi_rank(me).barrier();
+    }(cluster, r));
+  }
+  cluster.engine().run();
+
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = cluster.engine().events_processed();
+    for (int r = 0; r < kRanks; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      cluster.engine().spawn([](mpi::Rank& rank, std::uint64_t d, std::uint64_t s) -> Task<> {
+        co_await rank.allreduce_sum(d, s, kDoubles);
+      }(cluster.mpi_rank(r), data[i], scratch[i]));
+    }
+    cluster.engine().run();
+    events += cluster.engine().events_processed() - before;
+  }
+  state.SetItemsProcessed(state.iterations());
+  report_event_rate(state, events);
+}
+BENCHMARK_CAPTURE(BM_AllreduceSteadyState, iWARP, core::Network::kIwarp);
+BENCHMARK_CAPTURE(BM_AllreduceSteadyState, IB, core::Network::kIb);
+BENCHMARK_CAPTURE(BM_AllreduceSteadyState, MXoE, core::Network::kMxoe);
+BENCHMARK_CAPTURE(BM_AllreduceSteadyState, MXoM, core::Network::kMxom);
 
 }  // namespace
 

@@ -2,11 +2,8 @@
 """Append the engine's perf figures to the BENCH_engine.json trajectory.
 
 Runs the google-benchmark binary (bench/micro_simcore) in JSON mode and
-scrapes events/sec and items/sec per benchmark. Optionally also scrapes
-Report JSON artifacts (--report results/ext_scaling.json): every scalar
-named ``<series>.events_per_sec`` becomes a ``<benchmark>.<series>``
-trajectory entry, so the big-fabric probes ride in the same record as
-the microbenchmarks.
+scrapes events/sec and items/sec per benchmark. micro_simcore is the only
+producer of host-time numbers; the reports under results/ hold none.
 
 One record per commit is appended to BENCH_engine.json at the repo root:
 
@@ -16,7 +13,7 @@ One record per commit is appended to BENCH_engine.json at the repo root:
        "config": {"preset": "...", "jobs": N, "cpu_count": N},
        "benchmarks": {
           "BM_EventQueueThroughput": {"events_per_sec": ..., "items_per_sec": ...},
-          "ext_scaling.iWARP": {"events_per_sec": ...},
+          "BM_AllreduceSteadyState/iWARP": {"events_per_sec": ..., "items_per_sec": ...},
           ...}},
       ...
     ]
@@ -29,8 +26,7 @@ scripts/assert_perf.py gates on the resulting trajectory (>25%
 events/sec regression against the previous recorded commit fails).
 
 Usage:
-  bench_engine.py <micro_simcore-binary> [trajectory-json]
-                  [--report <report.json>]... [--preset NAME] [--jobs N]
+  bench_engine.py <micro_simcore-binary> [trajectory-json] [--preset NAME] [--jobs N]
 """
 
 import argparse
@@ -76,32 +72,11 @@ def scrape_micro(binary: str) -> dict:
     return benchmarks
 
 
-def scrape_report(path: str) -> dict:
-    """Pull <series>.events_per_sec scalars out of a Report JSON."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"bench_engine: cannot read report {path}: {e}", file=sys.stderr)
-        return {}
-    name = doc.get("benchmark", Path(path).stem)
-    suffix = ".events_per_sec"
-    out = {}
-    for key, value in doc.get("scalars", {}).items():
-        if key.endswith(suffix):
-            out[f"{name}.{key[:-len(suffix)]}"] = {"events_per_sec": value}
-    if not out:
-        print(f"bench_engine: no *.events_per_sec scalars in {path}", file=sys.stderr)
-    return out
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("binary", help="bench/micro_simcore google-benchmark binary")
     parser.add_argument("trajectory", nargs="?", default="BENCH_engine.json")
-    parser.add_argument("--report", action="append", default=[],
-                        help="Report JSON to scrape *.events_per_sec scalars from (repeatable)")
     parser.add_argument("--preset", default="default", help="build preset recorded in the entry")
     parser.add_argument("--jobs", type=int, default=None,
                         help="build parallelism recorded in the entry (default: cpu count)")
@@ -110,8 +85,6 @@ def main() -> int:
     benchmarks = scrape_micro(args.binary)
     if not benchmarks:
         return 1
-    for report in args.report:
-        benchmarks.update(scrape_report(report))
 
     commit = head_commit()
     out_path = Path(args.trajectory)

@@ -97,7 +97,6 @@ inline NetworkProfile iwarp_profile() {
   m.eager_threshold = 4 * 1024;  // paper: switch between 4 KB and 8 KB
   m.posted_item_cost = ns(95);
   m.unexpected_item_cost = ns(115);
-  m.pin_cache_enabled = true;
   m.pin_cache_entries = 1024;
   m.pin_cache_bytes = 2ull << 20;
   return p;
@@ -143,7 +142,6 @@ inline NetworkProfile ib_profile() {
   // MVAPICH's RDMA-write eager channel stalls on its own completions —
   // the paper's ~3 us LogP gap for IB despite its lowest latency.
   m.max_outstanding_eager = 1;
-  m.pin_cache_enabled = true;
   m.pin_cache_entries = 1024;
   m.pin_cache_bytes = 3ull << 20;
   return p;

@@ -6,7 +6,7 @@ FaultDecision FaultPlan::count(FaultDecision decision) {
   switch (decision.action) {
     case FaultAction::kDrop: ++frames_dropped_; break;
     case FaultAction::kCorrupt: ++frames_corrupted_; break;
-    case FaultAction::kDelay: ++frames_delayed_; break;
+    case FaultAction::kDelay:
     case FaultAction::kDeliver: break;
   }
   return decision;
@@ -70,29 +70,12 @@ FaultDecision FaultPlan::on_frame(const FaultSite& site) {
 
   // Probabilistic faults. Each armed probability consumes exactly one
   // draw per frame, so the decision stream for a seed is independent of
-  // which *other* probabilities are armed on a different plan. Per-link
-  // probabilities draw only on frames that cross their link — still
-  // deterministic, because the engine presents frames in event order.
-  for (const LinkProb& link : link_probs_) {
-    if (!crosses(link.sw, link.port, site)) continue;
-    if (link.drop_p > 0.0 && rng_.bernoulli(link.drop_p)) {
-      return count(FaultDecision{FaultAction::kDrop, 0});
-    }
-    if (link.corrupt_p > 0.0 && rng_.bernoulli(link.corrupt_p)) {
-      return count(FaultDecision{FaultAction::kCorrupt, 0});
-    }
-    if (link.delay_p > 0.0 && rng_.bernoulli(link.delay_p)) {
-      return count(FaultDecision{FaultAction::kDelay, link.delay});
-    }
-  }
+  // which *other* probabilities are armed on a different plan.
   if (drop_prob_ > 0.0 && rng_.bernoulli(drop_prob_)) {
     return count(FaultDecision{FaultAction::kDrop, 0});
   }
   if (corrupt_prob_ > 0.0 && rng_.bernoulli(corrupt_prob_)) {
     return count(FaultDecision{FaultAction::kCorrupt, 0});
-  }
-  if (delay_prob_ > 0.0 && rng_.bernoulli(delay_prob_)) {
-    return count(FaultDecision{FaultAction::kDelay, delay_time_});
   }
   return FaultDecision{};
 }

@@ -1,7 +1,7 @@
 // FaultPlan: the deterministic, seedable FaultInjector implementation.
 //
 // A plan composes five kinds of faults, all reproducible from the seed:
-//   * probabilistic drop / corrupt / delay (one Bernoulli draw per armed
+//   * probabilistic drop / corrupt (one Bernoulli draw per armed
 //     probability per frame, consumed in simulation-event order),
 //   * an explicit one-shot schedule: "the first frame at/after time T
 //     touching node N", or "the Nth frame observed overall",
@@ -13,10 +13,9 @@
 //   * fabric-addressed faults (routed topologies, where hw::Switch
 //     consults the injector at every hop with a (switch, out port)
 //     address): link_down / switch_down windows that kill every frame
-//     crossing one directed link or one switch, and per-link
-//     probabilistic drop / corrupt / delay. seeded_link_flaps() turns a
-//     seed plus a link list into a reproducible randomized flap schedule
-//     — the chaos-soak harness's noise source.
+//     crossing one directed link or one switch. seeded_link_flaps()
+//     turns a seed plus a link list into a reproducible randomized flap
+//     schedule — the chaos-soak harness's noise source.
 //
 // Determinism guarantee: the same seed and the same plan produce the same
 // decision for the Kth frame presented to the plan, for every K. Because
@@ -44,11 +43,6 @@ class FaultPlan final : public FaultInjector {
   }
   FaultPlan& corrupt_probability(double p) {
     corrupt_prob_ = p;
-    return *this;
-  }
-  FaultPlan& delay_probability(double p, Time delay) {
-    delay_prob_ = p;
-    delay_time_ = delay;
     return *this;
   }
 
@@ -102,22 +96,6 @@ class FaultPlan final : public FaultInjector {
     return *this;
   }
 
-  /// Per-link probabilistic faults: one Bernoulli draw per armed
-  /// probability per frame crossing (sw, port), consumed in
-  /// simulation-event order like the global probabilities.
-  FaultPlan& link_drop_probability(int sw, int port, double p) {
-    link_probs_.push_back(LinkProb{sw, port, p, 0.0, 0.0, 0});
-    return *this;
-  }
-  FaultPlan& link_corrupt_probability(int sw, int port, double p) {
-    link_probs_.push_back(LinkProb{sw, port, 0.0, p, 0.0, 0});
-    return *this;
-  }
-  FaultPlan& link_delay_probability(int sw, int port, double p, Time delay) {
-    link_probs_.push_back(LinkProb{sw, port, 0.0, 0.0, p, delay});
-    return *this;
-  }
-
   /// Seeded randomized flap schedule: `count` link-down windows drawn
   /// from `links` with start times in [start, start + horizon) and
   /// durations in [min_down, max_down). Uses a private PRNG seeded from
@@ -129,16 +107,14 @@ class FaultPlan final : public FaultInjector {
   // --- FaultInjector ---
   FaultDecision on_frame(const FaultSite& site) override;
   bool active() const override {
-    return drop_prob_ > 0.0 || corrupt_prob_ > 0.0 || delay_prob_ > 0.0 ||
-           !scheduled_.empty() || !nth_.empty() || !flaps_.empty() || !stalls_.empty() ||
-           !link_windows_.empty() || !link_probs_.empty();
+    return drop_prob_ > 0.0 || corrupt_prob_ > 0.0 || !scheduled_.empty() || !nth_.empty() ||
+           !flaps_.empty() || !stalls_.empty() || !link_windows_.empty();
   }
 
   // --- Statistics ---
   std::uint64_t frames_seen() const { return frames_seen_; }
   std::uint64_t frames_dropped() const { return frames_dropped_; }
   std::uint64_t frames_corrupted() const { return frames_corrupted_; }
-  std::uint64_t frames_delayed() const { return frames_delayed_; }
 
  private:
   struct Scheduled {
@@ -165,14 +141,6 @@ class FaultPlan final : public FaultInjector {
     Time start;
     Time end;  ///< exclusive
   };
-  struct LinkProb {
-    int sw;
-    int port;
-    double drop_p;
-    double corrupt_p;
-    double delay_p;
-    Time delay;
-  };
 
   static bool touches(int node, const FaultSite& site) {
     return node < 0 || site.src_node == node || site.dst_node == node;
@@ -186,19 +154,15 @@ class FaultPlan final : public FaultInjector {
   Xoshiro256 rng_;
   double drop_prob_ = 0.0;
   double corrupt_prob_ = 0.0;
-  double delay_prob_ = 0.0;
-  Time delay_time_ = 0;
   std::vector<Scheduled> scheduled_;
   std::vector<Nth> nth_;
   std::vector<Window> flaps_;
   std::vector<Window> stalls_;
   std::vector<LinkWindow> link_windows_;
-  std::vector<LinkProb> link_probs_;
 
   std::uint64_t frames_seen_ = 0;
   std::uint64_t frames_dropped_ = 0;
   std::uint64_t frames_corrupted_ = 0;
-  std::uint64_t frames_delayed_ = 0;
 };
 
 }  // namespace fabsim::fault

@@ -224,14 +224,6 @@ Task<> ChVerbs::send_control(int dst, Envelope env) {
 }
 
 Task<verbs::MrKey> ChVerbs::pin(std::uint64_t addr, std::uint32_t len) {
-  if (!config_.pin_cache_enabled) {
-    ++pin_misses_;
-    const verbs::MrKey key = co_await device_->reg_mr(addr, len);
-    // Without a cache the region is dropped after the transfer; charge
-    // the deregistration here (the CPU work is the same).
-    co_await cpu().compute(device_->registry().deregister_cost(len));
-    co_return key;
-  }
   auto result = pin_cache_.lookup(addr, len);
   if (result.hit) {
     ++pin_hits_;

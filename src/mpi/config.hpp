@@ -45,7 +45,6 @@ struct MpiConfig {
   bool async_progress = false;
 
   // --- Pin-down cache (ch_verbs rendezvous) ---
-  bool pin_cache_enabled = true;
   std::size_t pin_cache_entries = 1024;
   std::uint64_t pin_cache_bytes = 1ull << 20;
 };

@@ -104,62 +104,51 @@ void Engine::on_drain() {
   monitor_->run_final_checks();
 }
 
-FABSIM_HOT Engine::Item Engine::pop_next() {
-  // Materialize the co-enabled set: every queued event sharing the head
-  // timestamp. The heap yields them in ascending seq order, so index 0
-  // is the default insertion-order pick. ready_/view_ are members whose
-  // capacity persists across calls.
+FABSIM_HOT Engine::EventQueue::Key Engine::pop_next() {
+  if (policy_ == nullptr) {
+    if (profiler_ != nullptr) profiler_->on_dequeue(queue_.size());
+    return queue_.pop_key();
+  }
+  // Materialize the co-enabled set: the key of every queued event
+  // sharing the head timestamp. The heap yields them in ascending seq
+  // order, so index 0 is the default insertion-order pick. ready_/view_
+  // are members whose capacity persists across calls.
   const Time head = queue_.top().at;
   ready_.clear();
   while (!queue_.empty() && queue_.top().at == head) {
     if (profiler_ != nullptr) profiler_->on_dequeue(queue_.size());
     // HOT-OK(policy materialization scratch; member capacity reused across calls)
-    ready_.push_back(queue_.pop_top());
+    ready_.push_back(queue_.pop_key());
   }
   std::size_t pick = 0;
   if (ready_.size() > 1) {
     view_.clear();
-    // HOT-OK(policy materialization scratch; member capacity reused across calls)
-    view_.reserve(ready_.size());
-    // HOT-OK(policy materialization scratch; member capacity reused across calls)
-    for (const Item& item : ready_) view_.push_back(ReadyEvent{item.at, item.seq, item.scope});
+    for (const EventQueue::Key& key : ready_) {
+      // HOT-OK(policy materialization scratch; member capacity reused across calls)
+      view_.push_back(ReadyEvent{key.at, key.seq, key.scope});
+    }
     pick = policy_->choose(view_);
     if (pick >= ready_.size()) pick = 0;  // defensive: contract says < size
   }
-  Item chosen = std::move(ready_[pick]);
+  // The heap just held every one of these keys, so pushing the others
+  // back cannot grow it.
   for (std::size_t i = 0; i < ready_.size(); ++i) {
-    if (i != pick) {
-      const int growths =
-          queue_.push(ready_[i].at, ready_[i].seq, ready_[i].scope, std::move(ready_[i].fn));
-      // Outside the dispatch bracket, so growth here is counted but
-      // never charged against (nor excused from) the per-event budget.
-      if (growths > 0 && profiler_ != nullptr)
-        profiler_->on_queue_growth(static_cast<std::uint64_t>(growths));
-      if (profiler_ != nullptr) profiler_->on_requeue(queue_.size());
-    }
+    if (i == pick) continue;
+    queue_.push_key(ready_[i]);
+    if (profiler_ != nullptr) profiler_->on_requeue(queue_.size());
   }
-  ready_.clear();
-  return chosen;
+  return ready_[pick];
 }
 
-// One loop iteration. Without a SchedulePolicy the callback runs
-// in place from its slab slot — the slot is address-stable across any
-// posts the callback makes and is only destroyed + recycled afterwards
-// — so the pop side of dispatch moves zero payload bytes. The policy
-// path still materializes owned Items (it must park candidates in
-// ready_), which is fine: schedule exploration is not a perf path.
+// One loop iteration. The callback runs in place from its slab slot,
+// with or without a SchedulePolicy: the slot is address-stable across
+// any posts the callback makes and is only destroyed + recycled
+// afterwards, so the pop side of dispatch moves zero payload bytes.
 void Engine::step() {
-  if (policy_ == nullptr) {
-    if (profiler_ != nullptr) profiler_->on_dequeue(queue_.size());
-    const EventQueue::Key key = queue_.pop_key();
-    account_event(key.at, key.seq);
-    dispatch(key.scope, queue_.payload(key.slot));
-    queue_.release(key.slot);
-  } else {
-    Item item = pop_next();
-    account_event(item.at, item.seq);
-    dispatch(item.scope, item.fn);
-  }
+  const EventQueue::Key key = pop_next();
+  account_event(key.at, key.seq);
+  dispatch(key.scope, queue_.payload(key.slot));
+  queue_.release(key.slot);
   check_exception();
 }
 

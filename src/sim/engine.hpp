@@ -173,7 +173,8 @@ class Engine {
   /// FNV-1a digest folded over the (time, sequence) pair of every event
   /// processed so far. Two runs of the same workload must produce the
   /// same digest — this is the determinism verifier's fingerprint
-  /// (scripts/check_determinism.sh diffs it across repeated runs).
+  /// (scripts/check_determinism.sh diffs it against every committed
+  /// report).
   std::uint64_t run_digest() const { return digest_; }
 
   /// Fold extra material (e.g. a final-metrics hash) into the digest.
@@ -263,19 +264,12 @@ class Engine {
  private:
   friend struct detail::Driver::promise_type::FinalAwaiter;
 
-  struct Item {
-    Time at;
-    std::uint64_t seq;
-    int scope;  ///< node confinement label for SchedulePolicy; -1 = unknown
-    sim::EventFn fn;
-  };
-
   /// Binary min-heap over (at, seq), replacing std::priority_queue so the
   /// Engine can (a) count an imminent capacity growth *as it happens* —
   /// the one allocation the zero-alloc dispatch contract excuses — and
-  /// (b) move items out of the heap without the const_cast the adapter's
-  /// const-only top() used to force. Pop order is identical: (at, seq)
-  /// keys are unique, so the heap's tie-handling never matters.
+  /// (b) push popped keys back for a SchedulePolicy. Pop order is
+  /// identical: (at, seq) keys are unique, so the heap's tie-handling
+  /// never matters.
   ///
   /// The heap holds 24-byte Keys; the sim::EventFn payloads live in a
   /// side slab indexed by Key::slot and recycled through a free list.
@@ -343,14 +337,22 @@ class Engine {
         free_.pop_back();
         payload(slot) = std::move(fn);
       }
-      // HOT-OK(key-heap growth, amortized; counted in the return value and excused with the observers)
-      keys_.push_back(Key{at, seq, scope, slot});
-      std::push_heap(keys_.begin(), keys_.end(), std::greater<>{});
+      push_key(Key{at, seq, scope, slot});
       return growths;
     }
 
+    /// Push a key onto the heap. From push() the key store may grow
+    /// (counted there); re-pushing keys pop_key() just returned, as a
+    /// SchedulePolicy materialization does, never grows it.
+    FABSIM_HOT void push_key(const Key& key) {
+      // HOT-OK(key-heap growth, amortized; push() counts it in its return value and the observers excuse it)
+      keys_.push_back(key);
+      std::push_heap(keys_.begin(), keys_.end(), std::greater<>{});
+    }
+
     /// Pop the (at, seq) minimum's key. The payload slot stays live —
-    /// pinned for in-place dispatch — until release(slot).
+    /// pinned for in-place dispatch, or for push_key() — until
+    /// release(slot).
     FABSIM_HOT Key pop_key() {
       std::pop_heap(keys_.begin(), keys_.end(), std::greater<>{});
       const Key key = keys_.back();
@@ -372,17 +374,6 @@ class Engine {
       payload(slot) = sim::EventFn();
       // HOT-OK(free_ was reserved to the slab's capacity in push(); this never reallocates)
       free_.push_back(slot);
-    }
-
-    /// Pop with the payload moved out — the SchedulePolicy
-    /// materialization path, which parks candidates in Engine::ready_.
-    Item pop_top() {
-      const Key key = pop_key();
-      Item item{key.at, key.seq, key.scope, std::move(payload(key.slot))};
-      // The move above disengaged the slot; just recycle it.
-      // HOT-OK(free_ was reserved to the slab's capacity in push(); this never reallocates)
-      free_.push_back(key.slot);
-      return item;
     }
 
    private:
@@ -409,13 +400,14 @@ class Engine {
   void check_exception();
 
   Process spawn_impl(Task<> task, bool daemon);
-  /// Dequeue the next event to dispatch. With a SchedulePolicy attached,
-  /// materializes the co-enabled set at the head timestamp and lets the
-  /// policy pick; otherwise pops the (time, seq) minimum directly.
-  Item pop_next();
-  /// One run-loop iteration: pop, account, dispatch (in place from the
-  /// slab without a SchedulePolicy; via a materialized Item with one),
-  /// then surface any deferred exception.
+  /// Pop the key of the next event to dispatch. Without a SchedulePolicy
+  /// that is the (time, seq) minimum; with one, the keys of the
+  /// co-enabled set at the head timestamp are popped, the policy picks
+  /// one, and the others are pushed back. Payloads never leave their
+  /// slab slots.
+  EventQueue::Key pop_next();
+  /// One run-loop iteration: pop, account, dispatch in place from the
+  /// slab, then surface any deferred exception.
   void step();
   /// Run one event's callback inside the monitor's event bracket and the
   /// profiler's allocation tally and sampled host-time measurement, when
@@ -457,7 +449,7 @@ class Engine {
   // Scratch for the SchedulePolicy path of pop_next(): members so their
   // capacity is reused across materializations instead of reallocated
   // per co-enabled set.
-  std::vector<Item> ready_;
+  std::vector<EventQueue::Key> ready_;
   std::vector<ReadyEvent> view_;
   std::unordered_set<void*> drivers_;
   std::unordered_set<void*> daemons_;

@@ -126,6 +126,44 @@ TEST(ScheduleSeam, NonDefaultChoiceReordersCoEnabledEvents) {
   EXPECT_NE(flipped_digest, run_toy_engine(nullptr)) << "the digest must witness the reorder";
 }
 
+/// A capture that counts its own moves.
+struct MoveCount {
+  explicit MoveCount(int* counter) : moves(counter) {}
+  MoveCount(MoveCount&& other) noexcept : moves(other.moves) { ++*moves; }
+  int* moves;
+};
+
+/// Always dispatches the last-inserted co-enabled event, never the head.
+class LastPolicy final : public SchedulePolicy {
+ public:
+  std::size_t choose(const std::vector<ReadyEvent>& ready) override { return ready.size() - 1; }
+};
+
+TEST(ScheduleSeam, PolicyReordersKeysNotPayloads) {
+  // A policy reorders co-enabled events by their queue keys; payloads
+  // stay in their slab slots, so a capture moves exactly as often as it
+  // does with no policy attached.
+  auto run = [](SchedulePolicy* policy, std::vector<int>& order) {
+    int moves = 0;
+    Engine engine;
+    engine.set_schedule_policy(policy);
+    for (int i = 0; i < 4; ++i) {
+      engine.post(us(1), /*scope=*/i,
+                  [count = MoveCount(&moves), &order, i] { order.push_back(i); });
+    }
+    engine.run();
+    return moves;
+  };
+  std::vector<int> bare_order, last_order;
+  const int bare_moves = run(nullptr, bare_order);
+  LastPolicy last;
+  const int policy_moves = run(&last, last_order);
+  EXPECT_EQ(bare_order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(last_order, (std::vector<int>{3, 2, 1, 0})) << "the policy picked non-head events";
+  EXPECT_GT(bare_moves, 0);
+  EXPECT_EQ(policy_moves, bare_moves);
+}
+
 // ---------------------------------------------------------------------------
 // Explorer on toy scenarios: bug finding, record/replay, minimization,
 // reduction, fuzz determinism
