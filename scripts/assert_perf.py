@@ -5,8 +5,13 @@ Usage: assert_perf.py [trajectory-json] [--threshold 0.25] [--warn-only]
 
 Companion to assert_clean.py: where that gate fails on broken reports,
 this one fails on a *slower* engine. It compares the newest trajectory
-record (appended by scripts/bench_engine.py) against the previous
-recorded commit:
+record (appended by scripts/bench_engine.py) with the latest earlier
+record made on the same machine: the same fingerprint, config's
+cpu_model, cpu_count and preset. Host time from another machine says
+nothing about this change, so with no such record the gate passes and
+says "baseline for this machine"; a record without a fingerprint is
+never comparable. (On ephemeral CI runners every run is such a
+baseline.)
 
   * Any benchmark whose events_per_sec dropped by more than
     ``--threshold`` (default 25%) is a regression. With ``--warn-only``
@@ -25,13 +30,21 @@ instrument itself is broken, not that the machine is slow):
   * any recorded events_per_sec is zero or negative — a workload that
     dispatched nothing produced no measurement.
 
-A single-record trajectory (fresh baseline) passes: there is nothing to
-compare against yet.
+A newest record with no earlier record of its machine (a fresh baseline)
+passes: there is nothing to compare against yet.
 """
 
 import argparse
 import json
 import sys
+
+
+def fingerprint(record):
+    """(cpu_model, cpu_count, preset) of the machine a record was made on,
+    or None when the record does not say."""
+    config = record.get("config", {})
+    parts = tuple(config.get(key) for key in ("cpu_model", "cpu_count", "preset"))
+    return None if None in parts else parts
 
 
 def main() -> int:
@@ -86,12 +99,14 @@ def main() -> int:
     if hard_bad:
         return 1
 
-    if len(trajectory) < 2:
-        print(f"assert_perf: single record ({newest.get('commit')}) — baseline, nothing to "
-              "compare against")
+    machine = fingerprint(newest)
+    same_machine = [r for r in trajectory[:-1] if machine is not None and fingerprint(r) == machine]
+    if not same_machine:
+        print(f"assert_perf: no earlier record from {machine or 'an unnamed machine'} — "
+              f"{newest.get('commit')} is the baseline for this machine")
         return 0
 
-    previous = trajectory[-2]
+    previous = same_machine[-1]
     prev_benches = previous.get("benchmarks", {})
     regressions = []
     for name, entry in sorted(benches.items()):

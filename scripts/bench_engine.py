@@ -8,9 +8,9 @@ producer of host-time numbers; the reports under results/ hold none.
 One record per commit is appended to BENCH_engine.json at the repo root:
 
     [
-      {"commit": "<sha>",
+      {"commit": "<sha>" or "<sha>-dirty",
        "date": "<ISO-8601 UTC>",
-       "config": {"preset": "...", "jobs": N, "cpu_count": N},
+       "config": {"preset": "...", "jobs": N, "cpu_count": N, "cpu_model": "..."},
        "benchmarks": {
           "BM_EventQueueThroughput": {"events_per_sec": ..., "items_per_sec": ...},
           "BM_AllreduceSteadyState/iWARP": {"events_per_sec": ..., "items_per_sec": ...},
@@ -18,12 +18,17 @@ One record per commit is appended to BENCH_engine.json at the repo root:
       ...
     ]
 
+config's cpu_model, cpu_count and preset are the machine fingerprint:
+scripts/assert_perf.py compares a record only with an earlier record of
+the same fingerprint (>25% events/sec regression fails).
+
 Idempotent per commit: re-running on the same HEAD *replaces* that
 commit's record instead of appending a duplicate, so the trajectory
-stays one point per commit no matter how often run_all.sh re-runs.
-
-scripts/assert_perf.py gates on the resulting trajectory (>25%
-events/sec regression against the previous recorded commit fails).
+stays one point per commit no matter how often run_all.sh re-runs. A
+working tree with any change besides the trajectory file itself is
+recorded as "<sha>-dirty", which replaces only an earlier "<sha>-dirty":
+numbers measured on uncommitted code never overwrite (or pose as) the
+record of the commit they started from.
 
 Usage:
   bench_engine.py <micro_simcore-binary> [trajectory-json] [--preset NAME] [--jobs N]
@@ -33,19 +38,43 @@ import argparse
 import datetime
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 
-def head_commit() -> str:
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], capture_output=True, text=True,
+                          check=True).stdout
+
+
+def head_commit(trajectory: Path) -> str:
+    """HEAD's short hash, suffixed "-dirty" when any path other than the
+    trajectory file differs from HEAD (tracked or untracked)."""
     try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
+        sha = git("rev-parse", "--short", "HEAD").strip()
+        top = Path(git("rev-parse", "--show-toplevel").strip()).resolve()
+        status = git("status", "--porcelain", "--untracked-files=all")
     except (subprocess.CalledProcessError, FileNotFoundError):
         return "unknown"
+    try:
+        own = trajectory.resolve().relative_to(top).as_posix()
+    except ValueError:
+        own = None  # the trajectory lives outside the work tree
+    changed = [line[3:].split(" -> ")[-1].strip('"') for line in status.splitlines()]
+    return sha + "-dirty" if any(path != own for path in changed) else sha
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
 
 
 def scrape_micro(binary: str) -> dict:
@@ -86,15 +115,16 @@ def main() -> int:
     if not benchmarks:
         return 1
 
-    commit = head_commit()
     out_path = Path(args.trajectory)
+    commit = head_commit(out_path)
     trajectory = []
     if out_path.exists():
         try:
             trajectory = json.loads(out_path.read_text())
         except json.JSONDecodeError:
             print(f"bench_engine: {out_path} is corrupt, starting fresh", file=sys.stderr)
-    # One record per commit: replace, never duplicate.
+    # One record per commit: replace, never duplicate ("<sha>-dirty"
+    # replaces only "<sha>-dirty").
     trajectory = [r for r in trajectory if r.get("commit") != commit]
     trajectory.append({
         "commit": commit,
@@ -104,6 +134,7 @@ def main() -> int:
             "preset": args.preset,
             "jobs": args.jobs if args.jobs is not None else os.cpu_count(),
             "cpu_count": os.cpu_count(),
+            "cpu_model": cpu_model(),
         },
         "benchmarks": benchmarks,
     })

@@ -193,12 +193,17 @@ def collect_functions(src, classes):
     return funcs
 
 
-def type_to_class_name(type_text):
-    """Last plausible class identifier in a declaration's type text."""
+def type_to_class_name(type_text, known=()):
+    """Class a declaration's type text names: the outermost project class
+    among `known` (`fault::RetransmitWindow<Packet>` -> RetransmitWindow),
+    else the last plausible class identifier."""
     if type_text is None:
         return None
     # `std::unique_ptr<iwarp::Rnic>` -> Rnic; `EventQueue` -> EventQueue.
     idents = re.findall(r"[A-Za-z_]\w*", type_text)
+    for ident in idents:
+        if ident in known:
+            return ident
     skip = {"const", "std", "unique_ptr", "shared_ptr", "vector", "deque",
             "optional", "mutable", "volatile", "struct", "class"}
     for ident in reversed(idents):
@@ -272,7 +277,7 @@ class Analyzer:
                 decl = find_decl_type(cls.src.raw[cls.start:cls.end], receiver)
                 if decl:
                     break
-        return type_to_class_name(decl)
+        return type_to_class_name(decl, self.classes_by_name)
 
     def return_class(self, fn):
         """Class named by a function definition's declared return type."""
@@ -280,7 +285,7 @@ class Analyzer:
         begin = max(masked.rfind(ch, 0, fn.head) for ch in ";{}:") + 1
         words = [w for w in re.findall(r"[A-Za-z_]\w*", masked[begin:fn.head])
                  if w not in RETURN_TYPE_NOISE]
-        return type_to_class_name(" ".join(words)) if words else None
+        return type_to_class_name(" ".join(words), self.classes_by_name) if words else None
 
     def callee_defs(self, text, receiver, callee, callee_start, cls_name, func_text, depth=0):
         """Definitions a call to `callee` at text[callee_start] can reach."""

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """FabricScope-Check: scope/ownership static analyzer for Engine::post sites.
 
-The parallel-engine plan (ROADMAP item 3) and FabricExplore's DPOR
-reduction both trust the `scope` label on `Engine::post(at, scope, fn)`:
+FabricExplore's DPOR reduction and the InvariantMonitor's scope audit
+trust the `scope` label on `Engine::post(at, scope, fn)`:
 `ready_events_commute` (src/sim/schedule.hpp) treats two co-enabled
 events with different non-negative scopes as commuting. That is only
 sound if a scope-labelled continuation really touches nothing but the

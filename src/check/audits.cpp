@@ -51,27 +51,25 @@ Verdict audit_switch_queue_drained(int port, std::size_t queued_frames,
                            (transmitting ? ", transmission in flight" : ""));
 }
 
-Verdict audit_ib_inflight_psns(const std::deque<std::uint64_t>& inflight_psns,
-                               std::uint64_t snd_psn) {
-  for (std::size_t i = 1; i < inflight_psns.size(); ++i) {
-    if (inflight_psns[i] != inflight_psns[i - 1] + 1) {
-      return Verdict::fail("psn_gap_in_inflight",
-                           "inflight[" + u64(i) + "] psn " + u64(inflight_psns[i]) +
-                               " does not follow " + u64(inflight_psns[i - 1]));
+Verdict audit_resend_queue(const std::deque<std::uint64_t>& seqs, std::uint64_t next) {
+  for (std::size_t i = 1; i < seqs.size(); ++i) {
+    if (seqs[i] != seqs[i - 1] + 1) {
+      return Verdict::fail("resend_queue_gap", "held[" + u64(i) + "] seq " + u64(seqs[i]) +
+                                                   " does not follow " + u64(seqs[i - 1]));
     }
   }
-  if (!inflight_psns.empty() && inflight_psns.back() + 1 != snd_psn) {
-    return Verdict::fail("psn_tail_mismatch", "inflight tail psn " + u64(inflight_psns.back()) +
-                                                  " + 1 != snd_psn " + u64(snd_psn));
+  if (!seqs.empty() && seqs.back() + 1 != next) {
+    return Verdict::fail("resend_tail_mismatch",
+                         "held tail seq " + u64(seqs.back()) + " + 1 != next " + u64(next));
   }
   return Verdict::pass();
 }
 
-Verdict audit_ib_ack_window(std::uint64_t ack_psn, std::uint64_t snd_psn) {
-  if (ack_psn <= snd_psn) return Verdict::pass();
+Verdict audit_ack_window(std::uint64_t ack, std::uint64_t next) {
+  if (ack <= next) return Verdict::pass();
   return Verdict::fail("ack_beyond_window",
-                       "cumulative ack psn " + u64(ack_psn) + " acks packets never sent (snd_psn " +
-                           u64(snd_psn) + ")");
+                       "cumulative ack " + u64(ack) + " acks units never sent (next " + u64(next) +
+                           ")");
 }
 
 Verdict audit_ib_retry_exhausted(int retry_count, int retry_limit) {
@@ -89,13 +87,6 @@ Verdict audit_iwarp_window(std::uint64_t snd_nxt, std::uint64_t snd_una, std::ui
                            "B already outstanding exceeds the " + u64(window) + "B window");
 }
 
-Verdict audit_iwarp_ack_window(std::uint64_t ack, std::uint64_t snd_una, std::uint64_t snd_nxt) {
-  if (ack <= snd_nxt) return Verdict::pass();
-  return Verdict::fail("ack_beyond_window", "cumulative ack " + u64(ack) +
-                                                " beyond snd_nxt " + u64(snd_nxt) +
-                                                " (snd_una " + u64(snd_una) + ")");
-}
-
 Verdict audit_iwarp_untagged_inorder(std::uint32_t msg_offset, std::uint32_t placed,
                                      std::uint64_t msg_id) {
   if (msg_offset == placed) return Verdict::pass();
@@ -103,29 +94,6 @@ Verdict audit_iwarp_untagged_inorder(std::uint32_t msg_offset, std::uint32_t pla
                        "msg " + u64(msg_id) + ": segment at offset " + u64(msg_offset) +
                            " delivered with only " + u64(placed) +
                            "B placed (DDP untagged delivery must be in-order)");
-}
-
-Verdict audit_mx_resend_queue(const std::deque<std::uint64_t>& unacked_seqs,
-                              std::uint64_t next_seq) {
-  for (std::size_t i = 1; i < unacked_seqs.size(); ++i) {
-    if (unacked_seqs[i] != unacked_seqs[i - 1] + 1) {
-      return Verdict::fail("resend_queue_gap",
-                           "unacked[" + u64(i) + "] seq " + u64(unacked_seqs[i]) +
-                               " does not follow " + u64(unacked_seqs[i - 1]));
-    }
-  }
-  if (!unacked_seqs.empty() && unacked_seqs.back() + 1 != next_seq) {
-    return Verdict::fail("resend_tail_mismatch", "unacked tail seq " + u64(unacked_seqs.back()) +
-                                                     " + 1 != next_seq " + u64(next_seq));
-  }
-  return Verdict::pass();
-}
-
-Verdict audit_mx_ack_window(std::uint64_t ack, std::uint64_t next_seq) {
-  if (ack <= next_seq) return Verdict::pass();
-  return Verdict::fail("ack_beyond_window", "flow ack " + u64(ack) +
-                                                " acks frames never sent (next_seq " +
-                                                u64(next_seq) + ")");
 }
 
 Verdict audit_mpi_queue_disjoint(int posted_src, int posted_tag, int msg_src, int msg_tag) {

@@ -90,18 +90,22 @@ Verdict audit_switch_queue_drained(int port, std::size_t queued_frames,
                                    std::int64_t occupancy_bytes, bool transmitting);
 
 // ---------------------------------------------------------------------------
-// ib: RC transport
+// go-back-N (IB RC, MX flows, iWARP TCP), reported under the caller's layer
 // ---------------------------------------------------------------------------
 
-/// Requester inflight queue: PSNs are contiguous and the next stamp
-/// (snd_psn) continues the tail — go-back-N replay depends on it.
-Verdict audit_ib_inflight_psns(const std::deque<std::uint64_t>& inflight_psns,
-                               std::uint64_t snd_psn);
+/// Resend queue (IB inflight PSNs, MX per-flow unacked seqs): held
+/// sequence numbers are contiguous and the next stamp continues the
+/// tail — go-back-N replay depends on it. fault::RetransmitWindow::hold
+/// checks the same rule incrementally, one unit at a time.
+Verdict audit_resend_queue(const std::deque<std::uint64_t>& seqs, std::uint64_t next);
 
-/// Cumulative ack legality: the responder can only ack PSNs the
-/// requester has actually sent (ack_psn <= snd_psn), and acks never
-/// regress below already-acked state (head of inflight).
-Verdict audit_ib_ack_window(std::uint64_t ack_psn, std::uint64_t snd_psn);
+/// Cumulative ack legality: a peer can only ack what was actually sent
+/// (ack <= next: IB snd_psn, MX next_seq, iWARP snd_nxt).
+Verdict audit_ack_window(std::uint64_t ack, std::uint64_t next);
+
+// ---------------------------------------------------------------------------
+// ib: RC transport
+// ---------------------------------------------------------------------------
 
 /// RTO/error legality: a QP may enter the error state only after the
 /// retry counter actually exceeded the limit.
@@ -116,26 +120,10 @@ Verdict audit_ib_retry_exhausted(int retry_count, int retry_limit);
 Verdict audit_iwarp_window(std::uint64_t snd_nxt, std::uint64_t snd_una, std::uint32_t chunk,
                            std::uint32_t window);
 
-/// Byte-stream conservation on ack: cumulative acks must lie within
-/// [snd_una, snd_nxt] — acking bytes never sent breaks go-back-N.
-Verdict audit_iwarp_ack_window(std::uint64_t ack, std::uint64_t snd_una, std::uint64_t snd_nxt);
-
 /// DDP untagged delivery is in-order per message: segment msg_offset
 /// must equal the bytes already placed for that message.
 Verdict audit_iwarp_untagged_inorder(std::uint32_t msg_offset, std::uint32_t placed,
                                      std::uint64_t msg_id);
-
-// ---------------------------------------------------------------------------
-// mx: firmware reliability + matching
-// ---------------------------------------------------------------------------
-
-/// Per-flow resend queue: unacked sequence numbers are contiguous and
-/// end right below the next stamp.
-Verdict audit_mx_resend_queue(const std::deque<std::uint64_t>& unacked_seqs,
-                              std::uint64_t next_seq);
-
-/// Flow-ack legality: cumulative ack never exceeds what was sent.
-Verdict audit_mx_ack_window(std::uint64_t ack, std::uint64_t next_seq);
 
 // ---------------------------------------------------------------------------
 // mpi: matching queues

@@ -75,7 +75,7 @@ struct InvariantViolation {
   Time at = 0;        ///< simulated time of the report
   Layer layer = Layer::kSim;
   int node = -1;      ///< node / rank / port; -1 when not applicable
-  std::string rule;   ///< stable rule id, e.g. "psn_gap_in_inflight"
+  std::string rule;   ///< stable rule id, e.g. "resend_queue_gap"
   std::string detail; ///< human-readable specifics
 
   std::string to_string() const {

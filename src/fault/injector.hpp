@@ -7,13 +7,14 @@
 // link by (switch, output port)), and NIC transmit paths that model
 // adapter-local loss (the iWARP RNIC's `loss_rate`). The injector
 // decides the frame's fate — deliver, drop, corrupt (delivered but
-// discarded by the receiver's CRC check), or delay — and the recovery
-// machinery in each stack (iWARP go-back-N, IB RC retransmission, MX
-// resend queue) earns its keep against those decisions.
+// discarded by the receiver's CRC check), or delay — and the go-back-N
+// recovery every stack shares (fault/go_back_n.hpp: iWARP TCP, IB RC
+// retransmission, MX resend) earns its keep against those decisions.
 //
-// Stacks arm their recovery machinery only when `faults_armed()` is true,
-// so an absent or inert injector leaves every lossless run byte-identical
-// in timing to the unhooked simulator.
+// Stacks arm that recovery only while hw::Switch::can_lose() is true —
+// `faults_armed()` here, or bounded tail-drop buffers (and the iWARP
+// RNIC for its own `loss_rate`) — so an absent or inert injector leaves
+// every lossless run byte-identical in timing to the unhooked simulator.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +65,7 @@ class FaultInjector {
 };
 
 /// True when the engine carries an injector that can actually perturb
-/// frames — the stacks' cue to arm their recovery machinery.
+/// frames (one half of hw::Switch::can_lose()).
 inline bool faults_armed(Engine& engine) {
   FaultInjector* injector = engine.fault_injector();
   return injector != nullptr && injector->active();

@@ -61,21 +61,15 @@ struct SwitchConfig {
   Time cut_through = 0;  ///< fixed switch traversal latency
   Time propagation = 0;  ///< per-hop cable propagation delay
   /// Per-output-port buffer in bytes; 0 = unbounded. Ethernet switches
-  /// tail-drop when the buffer overflows (the iWARP TCP recovers via
-  /// go-back-N); IB and Myrinet fabrics are modelled lossless, so their
-  /// profiles leave this at 0.
+  /// tail-drop when the buffer overflows (each stack recovers via
+  /// go-back-N, armed by Switch::can_lose()); IB and Myrinet fabrics are
+  /// modelled lossless, so their profiles leave this at 0.
   std::uint64_t max_queue_bytes = 0;
   /// Routed mode only: flow control on this switch's ingress buffers.
   FlowControl flow = FlowControl::kLossy;
   /// Switch id within a topo::Topology (metric/trace labels); 0 for the
   /// seed's single crossbar.
   int id = 0;
-
-  /// True when congestion alone can lose a frame on this fabric: bounded
-  /// buffers under tail-drop flow control. Stacks whose reliability
-  /// machinery is armed lazily (MX firmware) consult this in addition to
-  /// fault::faults_armed().
-  bool can_drop() const { return flow == FlowControl::kLossy && max_queue_bytes != 0; }
 
   /// Test-only mutation seam (FabricExplore): re-introduce the credit
   /// leak the down-drain path originally shipped with — the first frame
@@ -170,6 +164,15 @@ class Switch {
 
   const SwitchConfig& config() const { return config_; }
   std::size_t num_ports() const { return ports_.size(); }
+
+  /// True when a frame crossing this switch can be lost: an armed fault
+  /// injector, or a bounded buffer that tail-drops (always on the direct
+  /// crossbar; under lossy flow control when routed). The one rule every
+  /// stack arms its go-back-N recovery by (fault/go_back_n.hpp).
+  bool can_lose() const {
+    return fault::faults_armed(*engine_) ||
+           (config_.max_queue_bytes != 0 && (config_.flow == FlowControl::kLossy || !routed()));
+  }
 
   /// Total bytes-time booked on an output port (for utilization checks).
   Time output_busy_time(int port) const {

@@ -78,27 +78,13 @@ void Hca::send_message(Conn& conn, verbs::Message msg) {
 }
 
 FABSIM_HOT void Hca::transmit_packet(Conn& conn, Packet packet, bool retransmit) {
-  const bool rel = reliable();
+  const bool rel = fabric_->can_lose();
   if (rel && !retransmit) {
     // Requester side: stamp the PSN, keep a copy for retransmission, and
     // make sure a retry timer covers the (possibly new) head of line.
-    packet.psn = conn.snd_psn++;
-    // HOT-OK(inflight window bounded by the send window; capacity reused after warm-up)
-    conn.inflight.push_back(packet);
-    if (check::InvariantMonitor* monitor = engine().monitor()) {
-      // Incremental contiguity: the appended PSN must extend the tail by
-      // exactly one (O(1) per packet; the whole-queue form of this audit
-      // is check::audit_ib_inflight_psns).
-      const std::size_t n = conn.inflight.size();
-      monitor->expect(conn.inflight.back().psn + 1 == conn.snd_psn &&
-                          (n < 2 || conn.inflight[n - 2].psn + 1 == conn.inflight[n - 1].psn),
-                      engine().now(), check::Layer::kIb, node_->id(), "psn_gap_in_inflight",
-                      [&] {
-                        return "appended psn " + std::to_string(conn.inflight.back().psn) +
-                               " breaks inflight contiguity (snd_psn " +
-                               std::to_string(conn.snd_psn) + ")";
-                      });
-    }
+    packet.psn = conn.tx.stamp();
+    conn.tx.hold(packet, packet.psn)
+        .report(engine().monitor(), engine().now(), check::Layer::kIb, node_->id());
     arm_timer(conn);
   }
   if (retransmit) {
@@ -138,7 +124,7 @@ FABSIM_HOT void Hca::transmit_packet(Conn& conn, Packet packet, bool retransmit)
 }
 
 // ---------------------------------------------------------------------------
-// RC end-to-end reliability (armed only under a fault injector)
+// RC end-to-end reliability (armed only while frames can be lost)
 // ---------------------------------------------------------------------------
 
 void Hca::send_ack(Conn& conn, bool nak) {
@@ -146,13 +132,13 @@ void Hca::send_ack(Conn& conn, bool nak) {
   ack.dst_conn_id = conn.peer_conn_id;
   ack.is_ack = !nak;
   ack.is_nak = nak;
-  ack.ack_psn = conn.exp_psn;
-  conn.pkts_since_ack = 0;
+  ack.ack_psn = conn.rx.expected();
+  conn.rx.acked();
   ++acks_sent_;
   if (nak) {
     ++naks_sent_;
     engine().trace(TraceCategory::kProto, node_->id(),
-                   "IB RC NAK: expected psn " + std::to_string(conn.exp_psn));
+                   "IB RC NAK: expected psn " + std::to_string(conn.rx.expected()));
   }
 
   // Acks share the protocol engine and the tx link with data, and ride the
@@ -173,24 +159,19 @@ void Hca::send_ack(Conn& conn, bool nak) {
 void Hca::handle_ack_packet(Conn& conn, const Packet& ack) {
   if (conn.qp->in_error()) return;
   if (check::InvariantMonitor* monitor = engine().monitor()) {
-    check::audit_ib_ack_window(ack.ack_psn, conn.snd_psn)
+    check::audit_ack_window(ack.ack_psn, conn.tx.next())
         .report(monitor, engine().now(), check::Layer::kIb, node_->id());
   }
-  bool advanced = false;
-  while (!conn.inflight.empty() && conn.inflight.front().psn < ack.ack_psn) {
-    const Packet done = std::move(conn.inflight.front());
-    conn.inflight.pop_front();
-    advanced = true;
+  // Sends complete when the ack frees their last packet.
+  conn.tx.release(ack.ack_psn, [&](const Packet& done) {
     if (done.completes_send()) complete_send(*conn.qp, done);
-  }
-  if (advanced) conn.retry_count = 0;
-  // Any timer now covers the wrong head of line; cancel it (generation
-  // bump) and re-arm if packets remain outstanding.
-  conn.timer_armed = false;
-  ++conn.timer_gen;
+  });
+  // Any timer now covers the wrong head of line; cancel it and re-arm if
+  // packets remain outstanding.
+  conn.tx.cancel();
   if (ack.is_nak) {
     retransmit_inflight(conn);  // go-back-N from the requested PSN
-  } else if (!conn.inflight.empty()) {
+  } else if (!conn.tx.empty()) {
     arm_timer(conn);
   }
 }
@@ -199,42 +180,40 @@ void Hca::retransmit_inflight(Conn& conn) {
   if (conn.qp->in_error()) return;
   // Go-back-N: resend everything outstanding, oldest first, preserving the
   // original PSNs so the responder sees an in-order stream again.
-  const std::size_t outstanding = conn.inflight.size();
+  const std::size_t outstanding = conn.tx.size();
   engine().trace(TraceCategory::kProto, node_->id(),
-                 "IB RC retransmit from psn " + std::to_string(conn.inflight.front().psn) + ": " +
+                 "IB RC retransmit from psn " + std::to_string(conn.tx[0].psn) + ": " +
                      std::to_string(outstanding) + " packets");
   for (std::size_t i = 0; i < outstanding; ++i) {
-    transmit_packet(conn, conn.inflight[i], /*retransmit=*/true);
+    transmit_packet(conn, conn.tx[i], /*retransmit=*/true);
   }
   arm_timer(conn);
 }
 
 void Hca::arm_timer(Conn& conn) {
-  if (conn.timer_armed) return;
-  conn.timer_armed = true;
-  const std::uint64_t gen = ++conn.timer_gen;
-  const Time timeout = config_.rto * (1ULL << std::min(conn.retry_count, 6));
+  if (!conn.tx.arm()) return;
+  const std::uint64_t gen = conn.tx.generation();
   const int conn_id = conn.id;
-  engine().post(engine().now() + timeout, /*scope=*/port_,
-                [this, conn_id, gen] { on_timeout(conn_id, gen); });
+  engine().post(engine().now() + conn.tx.timeout(config_.rto, /*backoff_cap=*/6),
+                /*scope=*/port_, [this, conn_id, gen] { on_timeout(conn_id, gen); });
 }
 
 void Hca::on_timeout(int conn_id, std::uint64_t gen) {
   FABSIM_AUDIT_OWNED(engine(), check::Layer::kIb, port_, "Hca::on_timeout");
   Conn& conn = conn_at(conn_id);
-  if (!conn.timer_armed || gen != conn.timer_gen) return;  // superseded
-  conn.timer_armed = false;
-  if (conn.inflight.empty()) return;
-  ++conn.retry_count;
+  if (!conn.tx.is_current(gen)) return;  // superseded
+  conn.tx.cancel();
+  if (conn.tx.empty()) return;
+  const int retry = conn.tx.count_retry();
   ++rto_fires_;
   engine().trace(TraceCategory::kProto, node_->id(),
-                 "IB RC RTO fired: retry " + std::to_string(conn.retry_count) + "/" +
+                 "IB RC RTO fired: retry " + std::to_string(retry) + "/" +
                      std::to_string(config_.retry_limit));
-  if (conn.retry_count > config_.retry_limit) {
+  if (retry > config_.retry_limit) {
     if (check::InvariantMonitor* monitor = engine().monitor()) {
       // RTO legality: the error transition is only legal once the retry
       // counter has actually exceeded the configured limit.
-      check::audit_ib_retry_exhausted(conn.retry_count, config_.retry_limit)
+      check::audit_ib_retry_exhausted(retry, config_.retry_limit)
           .report(monitor, engine().now(), check::Layer::kIb, node_->id());
     }
     enter_error(conn);
@@ -245,8 +224,7 @@ void Hca::on_timeout(int conn_id, std::uint64_t gen) {
 
 void Hca::enter_error(Conn& conn) {
   set_error(*conn.qp);
-  conn.timer_armed = false;
-  ++conn.timer_gen;
+  conn.tx.cancel();
   engine().trace(TraceCategory::kProto, node_->id(),
                  "IB RC retry limit exhausted: QP " + std::to_string(conn.qp->qp_num()) +
                      " -> error state");
@@ -257,10 +235,11 @@ void Hca::enter_error(Conn& conn) {
   // covers both). Read responses are responder-generated, with no local
   // work request; the peer notification below errors the stranded
   // requester out.
-  for (const Packet& packet : conn.inflight) {
+  for (std::size_t i = 0; i < conn.tx.size(); ++i) {
+    const Packet& packet = conn.tx[i];
     if (packet.completes_send()) flush_send(*conn.qp, packet.kind, packet.wr_id, packet.msg_len);
   }
-  conn.inflight.clear();
+  conn.tx.clear();
 
   // Reads whose request was already acked (and so left the inflight
   // queue) but whose response never arrived used to vanish here without
@@ -323,30 +302,25 @@ void Hca::deliver(hw::Frame frame) {
     return;
   }
 
-  if (reliable()) {
-    if (packet.psn != conn.exp_psn) {
-      if (packet.psn < conn.exp_psn) {
-        // Duplicate (our ack was lost or a retransmit raced it): discard
-        // and re-assert the cumulative ack so the requester can advance.
-        if (!(config_.mutation_drop_final_ack && packet.last_of_message)) {
-          send_ack(conn, /*nak=*/false);
-        }
-      } else if (!conn.nak_outstanding) {
-        // Sequence gap: NAK once per gap; the go-back-N retransmission
-        // restarts the stream at exp_psn.
-        conn.nak_outstanding = true;
-        send_ack(conn, /*nak=*/true);
+  if (fabric_->can_lose()) {
+    using Arrival = fault::InOrderReceiver::Arrival;
+    const Arrival arrival = conn.rx.accept(packet.psn);
+    if (arrival != Arrival::kInOrder) {
+      // A duplicate (our ack was lost or a retransmit raced it) re-asserts
+      // the cumulative ack so the requester can advance. A sequence gap is
+      // NAKed once; the go-back-N retransmission restarts the stream at the
+      // expected PSN.
+      if (arrival == Arrival::kGap) send_ack(conn, /*nak=*/true);
+      if (arrival == Arrival::kDuplicate &&
+          !(config_.mutation_drop_final_ack && packet.last_of_message)) {
+        send_ack(conn, /*nak=*/false);
       }
       return;
     }
-    conn.exp_psn = packet.psn + 1;
-    conn.nak_outstanding = false;
-    ++conn.pkts_since_ack;
-    if (packet.last_of_message || conn.pkts_since_ack >= config_.ack_every) {
-      if (!(config_.mutation_drop_final_ack && packet.last_of_message &&
-            conn.pkts_since_ack < config_.ack_every)) {
-        send_ack(conn, /*nak=*/false);
-      }
+    if (conn.rx.ack_due(packet.last_of_message, config_.ack_every) &&
+        !(config_.mutation_drop_final_ack && packet.last_of_message &&
+          conn.rx.unacked() < config_.ack_every)) {
+      send_ack(conn, /*nak=*/false);
     }
   }
 

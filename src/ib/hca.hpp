@@ -1,8 +1,8 @@
 // InfiniBand Host Channel Adapter (HCA), Reliable Connection transport.
 //
 // Verbs work requests become messages segmented into MTU packets on a 4X
-// SDR link (1 GB/s data rate per direction). The fabric is lossless
-// (credit-based link-level flow control), so there is no retransmission
+// SDR link (1 GB/s data rate per direction). On a lossless fabric
+// (credit-based link-level flow control) there is no retransmission
 // machinery; per-QP packet order is preserved end to end.
 //
 // The processing engine is processor-based: one packet at a time,
@@ -11,12 +11,12 @@
 // LRU cache; the miss penalty is what serializes multi-connection
 // traffic past 8 connections in the paper's Figure 2.
 //
-// When a fault injector is armed on the engine, the RC transport's
-// end-to-end reliability becomes reachable and is modelled: packets carry
-// PSNs, the responder acks cumulatively (coalesced, NAK on a sequence
-// gap), and the requester keeps a retransmit queue with a backed-off
-// retry timer. Exhausting the retry counter moves the QP to the error
-// state and surfaces error completions — the real RC failure contract.
+// While a frame can be lost (hw::Switch::can_lose()), RC reliability is
+// modelled on the shared go-back-N (fault/go_back_n.hpp): packets carry
+// PSNs, the responder acks cumulatively (coalesced, NAK on a gap), and
+// the requester keeps a retransmit window with a backed-off retry timer.
+// Exhausting the retry counter moves the QP to the error state and
+// surfaces error completions — the real RC failure contract.
 //
 // The verbs message layer (registration, QPs, work-request translation,
 // placement and completion) is verbs::Device's; this class is the
@@ -24,11 +24,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
 
-#include "fault/injector.hpp"
+#include "fault/go_back_n.hpp"
 #include "ib/config.hpp"
 #include "sim/scope.hpp"
 #include "verbs/verbs.hpp"
@@ -62,26 +61,21 @@ class Hca final : public verbs::Device {
   using MsgKind = verbs::MsgKind;
 
   struct Packet : verbs::MsgHeader {
-    // Reliability header (meaningful only while faults are armed).
+    // Reliability header (meaningful only while frames can be lost).
     std::uint64_t psn = 0;
     bool is_ack = false;       ///< pure acknowledgement packet
     bool is_nak = false;       ///< sequence-gap NAK (ack_psn = expected)
     std::uint64_t ack_psn = 0; ///< cumulative: all PSNs below are acked
+    std::uint64_t end() const { return psn + 1; }  ///< acked by ack_psn >= end()
   };
 
   struct Conn : verbs::Conn {
     FABSIM_OWNED_BY(qp->device_->fabric_port());  // RC machine state: advances
                                                   // only inside the owning
                                                   // HCA's events
-    // RC reliability (active only while a fault injector is armed).
-    std::uint64_t snd_psn = 0;        ///< next PSN to assign (requester)
-    std::uint64_t exp_psn = 0;        ///< next PSN expected (responder)
-    std::deque<Packet> inflight;      ///< unacked packets, for retransmit
-    std::uint64_t timer_gen = 0;
-    bool timer_armed = false;
-    int retry_count = 0;              ///< consecutive RTO rounds
-    std::uint32_t pkts_since_ack = 0; ///< responder-side ack coalescing
-    bool nak_outstanding = false;     ///< one NAK per gap, not per packet
+    // RC reliability (active only while frames can be lost).
+    fault::RetransmitWindow<Packet> tx;  ///< requester: PSNs, inflight, retry timer
+    fault::InOrderReceiver rx;           ///< responder: expected PSN, NAK once per gap
   };
 
   // --- verbs::Device transport hooks ---
@@ -103,8 +97,6 @@ class Hca final : public verbs::Device {
   /// retries the read and exhausts its own counter when the responder
   /// dies mid-response).
   void peer_conn_error(int conn_id);
-  /// RC reliability is armed only when frames can actually be perturbed.
-  bool reliable() { return fault::faults_armed(engine()); }
   /// Charge engine time for one packet; returns its completion time.
   /// Accesses the QP context cache for first-of-message packets.
   Time engine_process(Time ready, const Packet& packet, bool transmit_side, int local_conn_id);

@@ -56,7 +56,7 @@ void Rnic::pump(Conn& conn) {
     OutMsg& msg = conn.sendq.front();
     while (msg.offset < msg.len) {
       const std::uint32_t chunk = std::min<std::uint32_t>(config_.mss, msg.len - msg.offset);
-      if (conn.snd_nxt - conn.snd_una + chunk > config_.window) return;  // window closed
+      if (conn.tx.next() - conn.snd_una + chunk > config_.window) return;  // window closed
       emit_segment(conn, msg, chunk);
     }
     conn.sendq.pop_front();
@@ -65,18 +65,17 @@ void Rnic::pump(Conn& conn) {
 
 FABSIM_HOT void Rnic::emit_segment(Conn& conn, OutMsg& msg, std::uint32_t chunk) {
   Segment segment{verbs::chunk_header(msg, msg.msg_id, msg.offset, chunk, conn.peer_conn_id)};
-  segment.seq = conn.snd_nxt;
   segment.ack = conn.rcv_nxt;  // piggybacked cumulative ack
   if (check::InvariantMonitor* monitor = engine().monitor()) {
     // TCP window legality: pump() already refused segments that do not
     // fit, so an overrun here means the sliding-window bookkeeping broke.
-    check::audit_iwarp_window(conn.snd_nxt, conn.snd_una, chunk, config_.window)
+    check::audit_iwarp_window(conn.tx.next(), conn.snd_una, chunk, config_.window)
         .report(monitor, engine().now(), check::Layer::kIwarp, node_->id());
   }
   msg.offset += chunk;
-  conn.snd_nxt += chunk;
-  // HOT-OK(inflight window bounded by the send window; capacity reused after warm-up)
-  conn.inflight.push_back(segment);
+  segment.seq = conn.tx.stamp(chunk);
+  conn.tx.hold(segment, segment.seq)
+      .report(engine().monitor(), engine().now(), check::Layer::kIwarp, node_->id());
   transmit(conn, std::move(segment), /*retransmit=*/false);
   arm_timer(conn);
 }
@@ -184,60 +183,52 @@ void Rnic::handle_ack(Conn& conn, std::uint64_t ack) {
   if (check::InvariantMonitor* monitor = engine().monitor()) {
     // Byte-stream conservation: a cumulative ack beyond snd_nxt would
     // acknowledge bytes that were never put on the stream.
-    check::audit_iwarp_ack_window(ack, conn.snd_una, conn.snd_nxt)
+    check::audit_ack_window(ack, conn.tx.next())
         .report(monitor, engine().now(), check::Layer::kIwarp, node_->id());
   }
   if (ack <= conn.snd_una) return;
   conn.snd_una = ack;
-  conn.retry_count = 0;  // forward progress: the stream is alive
-  while (!conn.inflight.empty() &&
-         conn.inflight.front().seq + conn.inflight.front().payload_len <= conn.snd_una) {
-    conn.inflight.pop_front();
-  }
-  ++conn.timer_gen;  // invalidate the running timer
-  conn.timer_armed = false;
-  if (conn.snd_una < conn.snd_nxt) arm_timer(conn);
+  conn.tx.release(ack);
+  conn.tx.cancel();  // the running timer covers a freed head of line
+  if (!conn.tx.empty()) arm_timer(conn);
   pump(conn);  // window may have opened
 }
 
 void Rnic::arm_timer(Conn& conn) {
-  // Timers only matter when frames can vanish: injected loss (local knob
-  // or an engine-level fault injector) or a bounded (tail-dropping)
-  // switch buffer.
-  const bool lossy = config_.loss_rate > 0.0 || fabric_->config().max_queue_bytes > 0 ||
-                     fault::faults_armed(engine());
-  if (conn.timer_armed || !lossy) return;
-  conn.timer_armed = true;
-  const std::uint64_t gen = conn.timer_gen;
+  // Timers only matter while frames can vanish: on the fabric, or to this
+  // adapter's own loss plan.
+  const bool lossy = fabric_->can_lose() || config_.loss_rate > 0.0;
+  if (!lossy || !conn.tx.arm()) return;
+  const std::uint64_t gen = conn.tx.generation();
   const int conn_id = conn.id;
-  engine().post(engine().now() + config_.rto, /*scope=*/port_,
-                [this, conn_id, gen] { on_timeout(conn_id, gen); });
+  engine().post(engine().now() + conn.tx.timeout(config_.rto, /*backoff_cap=*/0),
+                /*scope=*/port_, [this, conn_id, gen] { on_timeout(conn_id, gen); });
 }
 
 void Rnic::on_timeout(int conn_id, std::uint64_t gen) {
   FABSIM_AUDIT_OWNED(engine(), check::Layer::kIwarp, port_, "Rnic::on_timeout");
   Conn& conn = conn_at(conn_id);
-  if (gen != conn.timer_gen || conn.snd_una >= conn.snd_nxt) return;
-  conn.timer_armed = false;
+  if (!conn.tx.is_current(gen)) return;  // superseded
+  conn.tx.cancel();
+  if (conn.tx.empty()) return;
   ++rto_fires_;
-  ++conn.retry_count;
+  const int retry = conn.tx.count_retry();
   engine().trace(TraceCategory::kProto, node_->id(),
                  "TCP RTO fired: go-back-N from seq=" + std::to_string(conn.snd_una) +
-                     " (retry " + std::to_string(conn.retry_count) + "/" +
+                     " (retry " + std::to_string(retry) + "/" +
                      std::to_string(config_.retry_limit) + ")");
-  if (conn.retry_count > config_.retry_limit) {
+  if (retry > config_.retry_limit) {
     // TCP gives up: the connection resets instead of retrying forever —
     // a fabric partition must surface as an error, not a hang.
     enter_error(conn);
     return;
   }
   // Go-back-N: resend everything outstanding.
-  for (const Segment& segment : conn.inflight) {
-    Segment copy = segment;
+  for (std::size_t i = 0; i < conn.tx.size(); ++i) {
+    Segment copy = conn.tx[i];
     copy.ack = conn.rcv_nxt;
     transmit(conn, std::move(copy), /*retransmit=*/true);
   }
-  ++conn.timer_gen;
   arm_timer(conn);
 }
 
@@ -252,8 +243,7 @@ void Rnic::flush_outmsg(Conn& conn, const OutMsg& msg) {
 void Rnic::enter_error(Conn& conn) {
   if (conn.qp->in_error()) return;
   set_error(*conn.qp);
-  conn.timer_armed = false;
-  ++conn.timer_gen;
+  conn.tx.cancel();
   ++conn_errors_;
   engine().trace(TraceCategory::kProto, node_->id(),
                  "TCP retry limit exhausted: QP " + std::to_string(conn.qp->qp_num()) +
@@ -267,7 +257,7 @@ void Rnic::enter_error(Conn& conn) {
     flush_outmsg(conn, msg);
   }
   conn.sendq.clear();
-  conn.inflight.clear();
+  conn.tx.clear();
   // Reads whose request is already on the wire (or acked) but whose
   // response will never arrive, then the posted receives.
   flush_reads(conn);

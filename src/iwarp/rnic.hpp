@@ -14,14 +14,17 @@
 // The verbs message layer (registration, QPs, work-request translation,
 // placement and completion) is verbs::Device's; this class is the
 // transport under it. The stack is event-driven (no coroutines inside
-// the NIC); only the host-facing verbs calls are awaitable. Optional
-// frame-loss injection exercises the go-back-N recovery path.
+// the NIC); only the host-facing verbs calls are awaitable. The TCP
+// sender keeps segments for go-back-N resend (fault/go_back_n.hpp) and,
+// while a frame can be lost (hw::Switch::can_lose(), or the optional
+// adapter-local `loss_rate`), runs a fixed retry timeout over them.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
 
+#include "fault/go_back_n.hpp"
 #include "fault/plan.hpp"
 #include "iwarp/config.hpp"
 #include "sim/scope.hpp"
@@ -66,6 +69,7 @@ class Rnic final : public verbs::Device {
   struct Segment : verbs::MsgHeader {
     std::uint64_t seq = 0;  ///< stream offset of payload[0]
     std::uint64_t ack = 0;  ///< piggybacked cumulative ack
+    std::uint64_t end() const { return seq + payload_len; }  ///< acked by ack >= end()
   };
 
   /// Per-connection TCP/RDMAP state (this side).
@@ -75,12 +79,8 @@ class Rnic final : public verbs::Device {
                                                   // owning NIC's events
     // Transmit.
     std::deque<OutMsg> sendq;
-    std::uint64_t snd_nxt = 0;  ///< next stream byte to send
-    std::uint64_t snd_una = 0;  ///< oldest unacknowledged byte
-    std::deque<Segment> inflight;  ///< copies for go-back-N retransmit
-    std::uint64_t timer_gen = 0;
-    bool timer_armed = false;
-    int retry_count = 0;  ///< consecutive RTO fires without ack progress
+    fault::RetransmitWindow<Segment> tx;  ///< snd_nxt, go-back-N copies, retry timer
+    std::uint64_t snd_una = 0;            ///< oldest unacknowledged byte
 
     // Receive.
     std::uint64_t rcv_nxt = 0;

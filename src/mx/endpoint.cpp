@@ -162,25 +162,12 @@ FABSIM_HOT void Endpoint::enqueue_tx(PendingTx tx) {
   // Firmware reliability: every frame except acks gets a per-flow sequence
   // number and a slot in the resend queue. Resends arrive here with their
   // sequence already stamped and must not be re-recorded.
-  if (reliable() && tx.frame.kind != FrameKind::kAck && !tx.frame.has_seq) {
-    FlowTx& flow = tx_flows_[tx.dest];
+  if (fabric_->can_lose() && tx.frame.kind != FrameKind::kAck && !tx.frame.has_seq) {
+    fault::RetransmitWindow<Unacked>& window = tx_flows_[tx.dest].window;
     tx.frame.has_seq = true;
-    tx.frame.seq = flow.next_seq++;
-    // HOT-OK(unacked window bounded by the flow window; capacity reused after warm-up)
-    flow.unacked.push_back(FlowTx::Unacked{tx.frame, tx.carries_data});
-    if (check::InvariantMonitor* monitor = engine().monitor()) {
-      // Incremental resend-queue contiguity (O(1) per frame; the whole-
-      // queue form is check::audit_mx_resend_queue).
-      const std::size_t n = flow.unacked.size();
-      monitor->expect(
-          flow.unacked.back().frame.seq + 1 == flow.next_seq &&
-              (n < 2 || flow.unacked[n - 2].frame.seq + 1 == flow.unacked[n - 1].frame.seq),
-          engine().now(), check::Layer::kMx, node_->id(), "resend_queue_gap", [&] {
-            return "appended seq " + std::to_string(flow.unacked.back().frame.seq) +
-                   " breaks resend-queue contiguity (next_seq " +
-                   std::to_string(flow.next_seq) + ")";
-          });
-    }
+    tx.frame.seq = window.stamp();
+    window.hold(Unacked{tx.frame, tx.carries_data}, tx.frame.seq)
+        .report(engine().monitor(), engine().now(), check::Layer::kMx, node_->id());
     arm_flow_timer(tx.dest);
   }
   // HOT-OK(tx queue bounded by posted sends; capacity reused after warm-up)
@@ -240,20 +227,20 @@ void Endpoint::pump_tx() {
     if (tx.complete != nullptr) {
       tx.complete->complete(tx.complete_len, tx.complete_match);
     }
-    if (reliable()) {
+    if (fabric_->can_lose()) {
       // Piggyback the freshest cumulative ack for this peer on every
       // outgoing frame; reset the standalone-ack countdown.
-      FlowRx& rx = rx_flows_[tx.dest];
+      fault::InOrderReceiver& rx = rx_flows_[tx.dest];
       tx.frame.has_ack = true;
-      tx.frame.ack = rx.exp_seq;
-      rx.since_ack = 0;
+      tx.frame.ack = rx.expected();
+      rx.acked();
     }
     fabric_->ingress(hw::Frame{src, tx.dest, wire_bytes, std::move(tx.frame)});
   });
 }
 
 // ---------------------------------------------------------------------------
-// Firmware reliability (armed only under a fault injector)
+// Firmware reliability (armed only while frames can be lost)
 // ---------------------------------------------------------------------------
 
 void Endpoint::send_flow_ack(int dest) {
@@ -262,7 +249,7 @@ void Endpoint::send_flow_ack(int dest) {
   frame.src_port = port_;
   frame.payload_len = 0;
   frame.has_ack = true;
-  frame.ack = rx_flows_[dest].exp_seq;
+  frame.ack = rx_flows_[dest].expected();
   ++acks_sent_;
   enqueue_tx(PendingTx{std::move(frame), dest, /*carries_data=*/false, nullptr, 0, 0});
 }
@@ -270,66 +257,51 @@ void Endpoint::send_flow_ack(int dest) {
 void Endpoint::handle_flow_ack(int src_port, std::uint64_t ack) {
   auto it = tx_flows_.find(src_port);
   if (it == tx_flows_.end()) return;
-  FlowTx& flow = it->second;
+  fault::RetransmitWindow<Unacked>& window = it->second.window;
   if (check::InvariantMonitor* monitor = engine().monitor()) {
-    check::audit_mx_ack_window(ack, flow.next_seq)
+    check::audit_ack_window(ack, window.next())
         .report(monitor, engine().now(), check::Layer::kMx, node_->id());
   }
-  bool advanced = false;
-  while (!flow.unacked.empty() && flow.unacked.front().frame.seq < ack) {
-    flow.unacked.pop_front();
-    advanced = true;
-  }
-  if (!advanced) return;
-  flow.retries = 0;
+  if (!window.release(ack)) return;
   // The running timer covers a freed head of line: cancel and re-cover.
-  flow.timer_armed = false;
-  ++flow.timer_gen;
-  if (!flow.unacked.empty()) arm_flow_timer(src_port);
+  window.cancel();
+  if (!window.empty()) arm_flow_timer(src_port);
 }
 
-void Endpoint::resend_flow(int dest) {
-  FlowTx& flow = tx_flows_[dest];
+void Endpoint::arm_flow_timer(int dest) {
+  fault::RetransmitWindow<Unacked>& window = tx_flows_[dest].window;
+  if (!window.arm()) return;
+  const std::uint64_t gen = window.generation();
+  engine().post(engine().now() + window.timeout(config_.rto, /*backoff_cap=*/6),
+                /*scope=*/port_, [this, dest, gen] { on_flow_timeout(dest, gen); });
+}
+
+void Endpoint::on_flow_timeout(int dest, std::uint64_t gen) {
+  FABSIM_AUDIT_OWNED(engine(), check::Layer::kMx, port_, "Endpoint::on_flow_timeout");
+  fault::RetransmitWindow<Unacked>& window = tx_flows_[dest].window;
+  if (!window.is_current(gen)) return;  // superseded
+  window.cancel();
+  if (window.empty()) return;
+  const int retry = window.count_retry();
+  ++rto_fires_;
+  if (retry > config_.retry_limit) {
+    fail_flow(dest);
+    return;
+  }
+  engine().trace(TraceCategory::kProto, node_->id(),
+                 "MX flow RTO fired: retry " + std::to_string(retry) + " to port " +
+                     std::to_string(dest));
   engine().trace(TraceCategory::kProto, node_->id(),
                  "MX resend to port " + std::to_string(dest) + ": " +
-                     std::to_string(flow.unacked.size()) + " frames");
-  const std::size_t outstanding = flow.unacked.size();
-  for (std::size_t i = 0; i < outstanding; ++i) {
+                     std::to_string(window.size()) + " frames");
+  for (std::size_t i = 0; i < window.size(); ++i) {
     ++resends_;
-    const FlowTx::Unacked& u = flow.unacked[i];
+    const Unacked& u = window[i];
     resent_bytes_ += u.frame.payload_len;
     // Resends never carry a completion: the original wire handoff (or the
     // eventual ack) owns request completion.
     enqueue_tx(PendingTx{u.frame, dest, u.carries_data, nullptr, 0, 0});
   }
-}
-
-void Endpoint::arm_flow_timer(int dest) {
-  FlowTx& flow = tx_flows_[dest];
-  if (flow.timer_armed) return;
-  flow.timer_armed = true;
-  const std::uint64_t gen = ++flow.timer_gen;
-  const Time timeout = config_.rto * (1ULL << std::min(flow.retries, 6));
-  engine().post(engine().now() + timeout, /*scope=*/port_,
-                [this, dest, gen] { on_flow_timeout(dest, gen); });
-}
-
-void Endpoint::on_flow_timeout(int dest, std::uint64_t gen) {
-  FABSIM_AUDIT_OWNED(engine(), check::Layer::kMx, port_, "Endpoint::on_flow_timeout");
-  FlowTx& flow = tx_flows_[dest];
-  if (!flow.timer_armed || gen != flow.timer_gen) return;  // superseded
-  flow.timer_armed = false;
-  if (flow.unacked.empty()) return;
-  ++flow.retries;
-  ++rto_fires_;
-  if (flow.retries > config_.retry_limit) {
-    fail_flow(dest);
-    return;
-  }
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "MX flow RTO fired: retry " + std::to_string(flow.retries) + " to port " +
-                     std::to_string(dest));
-  resend_flow(dest);
   arm_flow_timer(dest);
 }
 
@@ -337,9 +309,8 @@ void Endpoint::fail_flow(int dest) {
   FlowTx& flow = tx_flows_[dest];
   if (flow.failed) return;
   flow.failed = true;
-  flow.unacked.clear();  // nothing will be resent; quiescence audits see no strands
-  flow.timer_armed = false;
-  ++flow.timer_gen;
+  flow.window.clear();  // nothing will be resent; quiescence audits see no strands
+  flow.window.cancel();
   ++flow_failures_;
   engine().trace(TraceCategory::kProto, node_->id(),
                  "MX flow to port " + std::to_string(dest) + " failed: retry limit " +
@@ -383,14 +354,18 @@ void Endpoint::send_eager(SendOp op) {
     op.request->fail();
     return;
   }
-  const std::uint64_t msg_id = next_msg_id_++;
-  std::uint32_t offset = 0;
-  while (offset < op.len) {
+  send_frames(FrameKind::kEager, op, next_msg_id_++, /*receiver_handle=*/0);
+}
+
+void Endpoint::send_frames(FrameKind kind, const SendOp& op, std::uint64_t msg_id,
+                           std::uint64_t receiver_handle) {
+  for (std::uint32_t offset = 0; offset < op.len;) {
     const std::uint32_t chunk = std::min(config_.mtu, op.len - offset);
     MxFrame frame;
-    frame.kind = FrameKind::kEager;
+    frame.kind = kind;
     frame.src_port = port_;
     frame.msg_id = msg_id;
+    frame.peer_msg_id = receiver_handle;
     frame.match_bits = op.match_bits;
     frame.msg_len = op.len;
     frame.offset = offset;
@@ -445,37 +420,9 @@ void Endpoint::stream_data(std::uint64_t msg_id, std::uint64_t receiver_handle) 
   auto it = pending_sends_.find(msg_id);
   // HOT-OK(protocol-violation guard; unreachable in a conforming run)
   if (it == pending_sends_.end()) throw std::logic_error("mx: CTS for unknown send");
-  SendOp op = std::move(it->second);
+  const SendOp op = std::move(it->second);
   pending_sends_.erase(it);
-
-  std::uint32_t offset = 0;
-  while (offset < op.len) {
-    const std::uint32_t chunk = std::min(config_.mtu, op.len - offset);
-    MxFrame frame;
-    frame.kind = FrameKind::kData;
-    frame.src_port = port_;
-    frame.msg_id = msg_id;
-    frame.peer_msg_id = receiver_handle;
-    frame.match_bits = op.match_bits;
-    frame.msg_len = op.len;
-    frame.offset = offset;
-    frame.payload_len = chunk;
-    frame.first_of_message = (offset == 0);
-    if (op.data != nullptr) {
-      // HOT-OK(per-frame wire payload buffer; stack-level state outside the engine's tracked zero-alloc contract)
-      frame.data = std::make_shared<std::vector<std::byte>>(op.data->begin() + offset,
-                                                            op.data->begin() + offset + chunk);
-    }
-    offset += chunk;
-    frame.last_of_message = (offset == op.len);
-    PendingTx tx{std::move(frame), op.dest, /*carries_data=*/true, nullptr, 0, 0};
-    if (tx.frame.last_of_message) {
-      tx.complete = op.request;
-      tx.complete_len = op.len;
-      tx.complete_match = op.match_bits;
-    }
-    enqueue_tx(std::move(tx));
-  }
+  send_frames(FrameKind::kData, op, msg_id, receiver_handle);
 }
 
 Time Endpoint::pin(Time ready, std::uint64_t addr, std::uint32_t len) {
@@ -511,7 +458,7 @@ void Endpoint::deliver(hw::Frame raw) {
   }
   MxFrame frame = std::any_cast<MxFrame>(std::move(raw.payload));
 
-  if (reliable()) {
+  if (fabric_->can_lose()) {
     if (frame.has_ack) handle_flow_ack(frame.src_port, frame.ack);
     if (frame.kind == FrameKind::kAck) {
       // Ack-only frame: consumes a sliver of engine time, nothing more.
@@ -520,26 +467,18 @@ void Endpoint::deliver(hw::Frame raw) {
       return;
     }
     if (frame.has_seq) {
-      FlowRx& rx = rx_flows_[frame.src_port];
-      if (frame.seq != rx.exp_seq) {
-        if (frame.seq < rx.exp_seq) {
-          // Duplicate (our ack was lost or raced a resend): discard and
-          // re-assert the cumulative ack so the sender's window advances.
-          send_flow_ack(frame.src_port);
-        } else if (!rx.gap_signalled) {
-          // Sequence gap: in-order delivery is enforced, so the frame is
-          // dropped; re-assert once per gap and let the resend timer
-          // restart the stream.
-          rx.gap_signalled = true;
-          send_flow_ack(frame.src_port);
-        }
+      using Arrival = fault::InOrderReceiver::Arrival;
+      fault::InOrderReceiver& rx = rx_flows_[frame.src_port];
+      const Arrival arrival = rx.accept(frame.seq);
+      if (arrival != Arrival::kInOrder) {
+        // A duplicate (our ack was lost or raced a resend) re-asserts the
+        // cumulative ack so the sender's window advances. A sequence gap
+        // drops the frame (in-order delivery is enforced) and re-asserts
+        // once per gap; the resend timer restarts the stream.
+        if (arrival != Arrival::kGapSignalled) send_flow_ack(frame.src_port);
         return;
       }
-      rx.exp_seq = frame.seq + 1;
-      rx.gap_signalled = false;
-      if (++rx.since_ack >= config_.ack_every || frame.last_of_message) {
-        send_flow_ack(frame.src_port);
-      }
+      if (rx.ack_due(frame.last_of_message, config_.ack_every)) send_flow_ack(frame.src_port);
     }
   }
 
@@ -770,8 +709,8 @@ void Endpoint::audit_consistency(check::InvariantMonitor& monitor) {
   // Resend-queue consistency for every flow (whole-queue form).
   for (const auto& [dest, flow] : tx_flows_) {
     std::deque<std::uint64_t> seqs;
-    for (const FlowTx::Unacked& u : flow.unacked) seqs.push_back(u.frame.seq);
-    check::audit_mx_resend_queue(seqs, flow.next_seq)
+    for (std::size_t i = 0; i < flow.window.size(); ++i) seqs.push_back(flow.window[i].frame.seq);
+    check::audit_resend_queue(seqs, flow.window.next())
         .report(&monitor, engine().now(), check::Layer::kMx, node_->id());
   }
 }

@@ -18,7 +18,7 @@
 #include <memory>
 #include <vector>
 
-#include "fault/injector.hpp"
+#include "fault/go_back_n.hpp"
 #include "hw/fabric.hpp"
 #include "hw/node.hpp"
 #include "hw/reg_cache.hpp"
@@ -159,7 +159,7 @@ class Endpoint final : public hw::FrameSink {
     bool first_of_message = false;
     bool last_of_message = false;
     std::uint64_t peer_msg_id = 0;  ///< CTS: receiver handle echo
-    // Reliability header (stamped only while faults are armed).
+    // Reliability header (stamped only while frames can be lost).
     bool has_seq = false;   ///< per-flow sequenced (everything but kAck)
     std::uint64_t seq = 0;
     bool has_ack = false;   ///< cumulative piggybacked / standalone ack
@@ -214,6 +214,10 @@ class Endpoint final : public hw::FrameSink {
   void send_control(FrameKind kind, int dest, std::uint64_t msg_id, std::uint64_t peer_msg_id,
                     std::uint64_t match_bits, std::uint32_t msg_len);
   void stream_data(std::uint64_t msg_id, std::uint64_t receiver_handle);
+  /// Cut `op` into MTU frames of `kind` (eager, or rendezvous data for
+  /// `receiver_handle`); the last one completes the send request.
+  void send_frames(FrameKind kind, const SendOp& op, std::uint64_t msg_id,
+                   std::uint64_t receiver_handle);
   void handle_eager_arrival(MxFrame frame);
   void handle_rts(const MxFrame& frame);
   void handle_cts(const MxFrame& frame);
@@ -237,34 +241,21 @@ class Endpoint final : public hw::FrameSink {
   void enqueue_tx(PendingTx tx);
   void pump_tx();
 
+  /// A frame held for resend, with what the tx chain needs to resend it.
+  struct Unacked {
+    MxFrame frame;
+    bool carries_data = false;
+    std::uint64_t end() const { return frame.seq + 1; }  ///< acked by ack >= end()
+  };
+
   /// Sender-side reliability state for one destination port.
   struct FlowTx {
-    std::uint64_t next_seq = 0;
-    struct Unacked {
-      MxFrame frame;
-      bool carries_data = false;
-    };
-    std::deque<Unacked> unacked;  ///< frames held for resend, oldest first
-    std::uint64_t timer_gen = 0;
-    bool timer_armed = false;
-    int retries = 0;     ///< consecutive timeout rounds without progress
+    fault::RetransmitWindow<Unacked> window;  ///< seqs, resend queue, retry timer
     bool failed = false;  ///< retry limit hit: peer declared unreachable
   };
 
-  /// Receiver-side reliability state for one source port.
-  struct FlowRx {
-    std::uint64_t exp_seq = 0;       ///< next in-order sequence expected
-    std::uint32_t since_ack = 0;     ///< frames since the last ack we sent
-    bool gap_signalled = false;      ///< one ack re-assert per gap
-  };
-
-  /// Firmware reliability is armed only when frames can be perturbed:
-  /// under a fault injector, or on a fabric whose bounded tail-drop
-  /// buffers can lose frames to congestion alone.
-  bool reliable() { return fault::faults_armed(engine()) || fabric_->config().can_drop(); }
   void send_flow_ack(int dest);
   void handle_flow_ack(int src_port, std::uint64_t ack);
-  void resend_flow(int dest);
   void arm_flow_timer(int dest);
   void on_flow_timeout(int dest, std::uint64_t gen);
   /// Retry exhaustion: declare `dest` unreachable and fail every request
@@ -308,8 +299,8 @@ class Endpoint final : public hw::FrameSink {
 
   std::deque<PendingTx> txq_;
   bool pump_armed_ = false;
-  std::map<int, FlowTx> tx_flows_;  ///< by destination port
-  std::map<int, FlowRx> rx_flows_;  ///< by source port
+  std::map<int, FlowTx> tx_flows_;                  ///< by destination port
+  std::map<int, fault::InOrderReceiver> rx_flows_;  ///< by source port
   std::uint64_t frames_sent_ = 0;
   std::uint64_t reg_hits_ = 0;
   std::uint64_t reg_misses_ = 0;

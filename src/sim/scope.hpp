@@ -1,13 +1,12 @@
 // FabricScope-Check: scope/ownership annotations and the access traps.
 //
-// The Engine's `post(at, scope, fn)` scope labels are the foundation the
-// parallel engine (ROADMAP item 3) will stand on: `ready_events_commute`
-// treats two co-enabled events with different non-negative scopes as
-// commuting, and a cross-shard barrier will one day trust the same labels
-// to decide which continuations may run on which worker. A mislabeled
-// capture therefore silently breaks DPOR soundness today and digest
-// deterministic parallelism tomorrow. This header provides both halves of
-// the gate that keeps the labels honest:
+// The Engine's `post(at, scope, fn)` scope labels are what FabricExplore's
+// partial-order reduction trusts: `ready_events_commute` treats two
+// co-enabled events with different non-negative scopes as commuting, so
+// the explorer never tries their other order. A mislabeled capture
+// therefore silently breaks DPOR soundness. This header provides both
+// halves of the gate that keeps the labels honest (the static prover and
+// the monitor's scope audit):
 //
 //  1. *Static annotations* — `FABSIM_OWNED_BY(node)`, `FABSIM_SHARED` and
 //     `FABSIM_ENGINE_LOCAL` are section markers placed among the member

@@ -1,8 +1,11 @@
-// Bounded-buffer switch tests: tail drop under incast and the iWARP
-// TCP's recovery from congestion loss (as opposed to random loss).
+// Bounded-buffer switch tests: tail drop under incast and the go-back-N
+// recovery from congestion loss (as opposed to random loss) of iWARP's
+// TCP and IB's RC.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -41,64 +44,83 @@ TEST(BoundedSwitch, NoDropsWhenBufferIsLargeEnough) {
 
 TEST(BoundedSwitch, IncastOverflowDropsAndTcpRecovers) {
   // Three clients blast one server through a switch with only 48 KB of
-  // buffering on the hot port. Ethernet drops; iWARP's TCP must deliver
-  // every byte anyway.
-  NetworkProfile p = iwarp_profile();
-  p.switch_cfg.max_queue_bytes = 48 * 1024;
-  p.rnic.rto = us(300);
-  Cluster cluster(4, p);
+  // buffering on the hot port. The switch tail-drops; iWARP's TCP and
+  // IB's RC must both deliver every byte anyway. The writes start
+  // together once every registration is done: IB pins 7 us a page on
+  // the server's one CPU, which would otherwise stagger the writers so
+  // far apart that nothing drops. The direct crossbar tail-drops
+  // whatever flow control its config names, so both must recover then.
+  for (const auto& [net, flow] : {std::pair{Network::kIwarp, hw::FlowControl::kLossy},
+                                 std::pair{Network::kIb, hw::FlowControl::kLossy},
+                                 std::pair{Network::kIwarp, hw::FlowControl::kCredit},
+                                 std::pair{Network::kIb, hw::FlowControl::kCredit}}) {
+    SCOPED_TRACE(std::string(network_name(net)) + " " + hw::flow_control_name(flow));
+    NetworkProfile p = profile(net);
+    p.switch_cfg.max_queue_bytes = 48 * 1024;
+    p.switch_cfg.flow = flow;
+    p.rnic.rto = us(300);
+    Cluster cluster(4, p);
 
-  const std::uint32_t len = 256 * 1024;
-  std::vector<std::unique_ptr<verbs::CompletionQueue>> cqs;
-  std::vector<std::unique_ptr<verbs::QueuePair>> sqps, cqps;
-  std::vector<hw::Buffer*> sbufs, cbufs;
-  int done = 0;
-  for (int c = 0; c < 3; ++c) {
-    cqs.push_back(std::make_unique<verbs::CompletionQueue>(cluster.engine()));
-    auto* cq = cqs.back().get();
-    sqps.push_back(cluster.device(0).create_qp(*cq, *cq));
-    cqps.push_back(cluster.device(c + 1).create_qp(*cq, *cq));
-    cluster.device(0).establish(*sqps.back(), *cqps.back());
-    sbufs.push_back(&cluster.node(0).mem().alloc(len));
-    cbufs.push_back(&cluster.node(c + 1).mem().alloc(len));
-  }
+    const std::uint32_t len = 256 * 1024;
+    std::vector<std::unique_ptr<verbs::CompletionQueue>> cqs;
+    std::vector<std::unique_ptr<verbs::QueuePair>> sqps, cqps;
+    std::vector<hw::Buffer*> sbufs, cbufs;
+    int done = 0;
+    int registered = 0;
+    Event go(cluster.engine());
+    for (int c = 0; c < 3; ++c) {
+      cqs.push_back(std::make_unique<verbs::CompletionQueue>(cluster.engine()));
+      auto* cq = cqs.back().get();
+      sqps.push_back(cluster.device(0).create_qp(*cq, *cq));
+      cqps.push_back(cluster.device(c + 1).create_qp(*cq, *cq));
+      cluster.device(0).establish(*sqps.back(), *cqps.back());
+      sbufs.push_back(&cluster.node(0).mem().alloc(len));
+      cbufs.push_back(&cluster.node(c + 1).mem().alloc(len));
+    }
 
-  for (int c = 0; c < 3; ++c) {
-    cluster.engine().spawn([](Cluster& cl, verbs::QueuePair& qp, hw::Buffer& src,
-                              hw::Buffer& dst, int client, std::uint32_t n,
-                              int* finished) -> Task<> {
-      auto view = cl.node(client + 1).mem().window(src.addr(), n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        view[i] = static_cast<std::byte>((i * 7 + static_cast<std::uint32_t>(client)) & 0xff);
+    for (int c = 0; c < 3; ++c) {
+      cluster.engine().spawn([](Cluster& cl, verbs::QueuePair& qp, hw::Buffer& src,
+                                hw::Buffer& dst, int client, std::uint32_t n, Event& start,
+                                int* ready, int* finished) -> Task<> {
+        auto view = cl.node(client + 1).mem().window(src.addr(), n);
+        for (std::uint32_t i = 0; i < n; ++i) {
+          view[i] = static_cast<std::byte>((i * 7 + static_cast<std::uint32_t>(client)) & 0xff);
+        }
+        auto lkey = co_await cl.device(client + 1).reg_mr(src.addr(), n);
+        auto rkey = co_await cl.device(0).reg_mr(dst.addr(), n);
+        auto watch = cl.device(0).watch_placement(dst.addr(), n);
+        if (++*ready == 3) start.trigger();
+        co_await start.wait();
+        co_await qp.post_send(verbs::SendWr{.wr_id = 1,
+                                            .opcode = verbs::Opcode::kRdmaWrite,
+                                            .sge = {src.addr(), n, lkey},
+                                            .remote_addr = dst.addr(),
+                                            .rkey = rkey});
+        co_await watch->wait();
+        ++*finished;
+      }(cluster, *cqps[static_cast<std::size_t>(c)], *cbufs[static_cast<std::size_t>(c)],
+        *sbufs[static_cast<std::size_t>(c)], c, len, go, &registered, &done));
+    }
+    cluster.engine().run();
+
+    EXPECT_EQ(done, 3) << "all transfers must complete despite congestion drops";
+    EXPECT_EQ(cluster.engine().live_processes(), 0u) << "no writer may be left suspended";
+    EXPECT_GT(cluster.fabric().output_drops(cluster.device(0).fabric_port()), 0u)
+        << "the hot port must have overflowed";
+    std::uint64_t total_retransmits = 0;
+    for (int c = 1; c <= 3; ++c) {
+      total_retransmits +=
+          net == Network::kIb ? cluster.hca(c).retransmits() : cluster.rnic(c).retransmits();
+    }
+    EXPECT_GT(total_retransmits, 0u);
+
+    // Byte-exact delivery at the server.
+    for (int c = 0; c < 3; ++c) {
+      auto view = cluster.node(0).mem().window(sbufs[static_cast<std::size_t>(c)]->addr(), len);
+      for (std::uint32_t i = 0; i < len; i += 97) {
+        ASSERT_EQ(view[i], static_cast<std::byte>((i * 7 + static_cast<std::uint32_t>(c)) & 0xff))
+            << "client " << c << " byte " << i;
       }
-      auto lkey = co_await cl.device(client + 1).reg_mr(src.addr(), n);
-      auto rkey = co_await cl.device(0).reg_mr(dst.addr(), n);
-      auto watch = cl.device(0).watch_placement(dst.addr(), n);
-      co_await qp.post_send(verbs::SendWr{.wr_id = 1,
-                                          .opcode = verbs::Opcode::kRdmaWrite,
-                                          .sge = {src.addr(), n, lkey},
-                                          .remote_addr = dst.addr(),
-                                          .rkey = rkey});
-      co_await watch->wait();
-      ++*finished;
-    }(cluster, *cqps[static_cast<std::size_t>(c)], *cbufs[static_cast<std::size_t>(c)],
-      *sbufs[static_cast<std::size_t>(c)], c, len, &done));
-  }
-  cluster.engine().run();
-
-  EXPECT_EQ(done, 3) << "all transfers must complete despite congestion drops";
-  EXPECT_GT(cluster.fabric().output_drops(cluster.rnic(0).fabric_port()), 0u)
-      << "the hot port must have overflowed";
-  std::uint64_t total_retransmits = 0;
-  for (int c = 1; c <= 3; ++c) total_retransmits += cluster.rnic(c).retransmits();
-  EXPECT_GT(total_retransmits, 0u);
-
-  // Byte-exact delivery at the server.
-  for (int c = 0; c < 3; ++c) {
-    auto view = cluster.node(0).mem().window(sbufs[static_cast<std::size_t>(c)]->addr(), len);
-    for (std::uint32_t i = 0; i < len; i += 97) {
-      ASSERT_EQ(view[i], static_cast<std::byte>((i * 7 + static_cast<std::uint32_t>(c)) & 0xff))
-          << "client " << c << " byte " << i;
     }
   }
 }

@@ -21,6 +21,7 @@
 
 #include "check/invariant.hpp"
 #include "core/cluster.hpp"
+#include "fault/go_back_n.hpp"
 #include "fault/plan.hpp"
 #include "hw/fabric.hpp"
 #include "sim/metrics.hpp"
@@ -38,6 +39,82 @@ using fault::FaultSite;
 // ---------------------------------------------------------------------------
 // FaultPlan decision logic (no simulation required)
 // ---------------------------------------------------------------------------
+
+// ---------------------------------------------------------------------------
+// The shared go-back-N (fault/go_back_n.hpp)
+// ---------------------------------------------------------------------------
+
+/// A window unit spanning [seq, seq + len), like an iWARP segment.
+struct Span {
+  std::uint64_t seq = 0;
+  std::uint64_t len = 1;
+  std::uint64_t end() const { return seq + len; }
+};
+
+TEST(GoBackN, WindowReleasesCumulativelyAndResetsRetries) {
+  // Byte-stream units: [0,100), [100,250), [250,300).
+  fault::RetransmitWindow<Span> window;
+  for (const std::uint64_t len : {100, 150, 50}) {
+    const std::uint64_t seq = window.stamp(len);
+    EXPECT_TRUE(window.hold(Span{seq, len}, seq).ok);
+  }
+  window.count_retry();
+  std::vector<std::uint64_t> released;
+  const auto record = [&](const Span& unit) { released.push_back(unit.seq); };
+  EXPECT_FALSE(window.release(99, record));
+  EXPECT_EQ(window.timeout(us(1), 6), us(2)) << "no progress keeps the retry count";
+  EXPECT_TRUE(window.release(250, record));
+  EXPECT_EQ(released, (std::vector<std::uint64_t>{0, 100})) << "oldest first, once acked";
+  EXPECT_EQ(window.timeout(us(1), 6), us(1)) << "progress resets the retry count";
+  ASSERT_EQ(window.size(), 1u);
+  EXPECT_EQ(window[0].seq, 250u);
+}
+
+TEST(GoBackN, HoldAuditsContiguity) {
+  fault::RetransmitWindow<Span> window;
+  const std::uint64_t first = window.stamp();
+  EXPECT_TRUE(window.hold(Span{first}, first).ok);
+  window.stamp();  // a stamped unit that was never held
+  const std::uint64_t third = window.stamp();
+  const check::Verdict gap = window.hold(Span{third}, third);
+  EXPECT_FALSE(gap.ok);
+  EXPECT_STREQ(gap.rule, "resend_queue_gap");
+}
+
+TEST(GoBackN, TimerGenerationsSupersedeAndBackoffIsCapped) {
+  fault::RetransmitWindow<Span> window;
+  ASSERT_TRUE(window.arm());
+  const std::uint64_t gen = window.generation();
+  EXPECT_FALSE(window.arm()) << "an armed timer is not armed twice";
+  EXPECT_TRUE(window.is_current(gen));
+  window.cancel();
+  EXPECT_FALSE(window.is_current(gen)) << "a cancelled timeout is superseded";
+  ASSERT_TRUE(window.arm());
+  EXPECT_FALSE(window.is_current(gen));
+  EXPECT_TRUE(window.is_current(window.generation()));
+
+  for (int i = 0; i < 9; ++i) window.count_retry();
+  EXPECT_EQ(window.timeout(us(100), /*backoff_cap=*/6), us(6400)) << "IB/MX: rto << 6 at most";
+  EXPECT_EQ(window.timeout(us(500), /*backoff_cap=*/0), us(500)) << "iWARP: fixed rto";
+}
+
+TEST(GoBackN, ReceiverSignalsEachGapOnceAndCoalescesAcks) {
+  using Arrival = fault::InOrderReceiver::Arrival;
+  fault::InOrderReceiver rx;
+  EXPECT_EQ(rx.accept(0), Arrival::kInOrder);
+  EXPECT_EQ(rx.accept(2), Arrival::kGap);
+  EXPECT_EQ(rx.accept(3), Arrival::kGapSignalled);
+  EXPECT_EQ(rx.accept(0), Arrival::kDuplicate);
+  EXPECT_EQ(rx.expected(), 1u);
+  EXPECT_EQ(rx.accept(1), Arrival::kInOrder);
+  EXPECT_EQ(rx.accept(3), Arrival::kGap) << "a new gap is signalled again";
+  EXPECT_EQ(rx.unacked(), 2u);
+  EXPECT_FALSE(rx.ack_due(/*last_of_message=*/false, /*ack_every=*/4));
+  EXPECT_TRUE(rx.ack_due(/*last_of_message=*/true, /*ack_every=*/4));
+  EXPECT_TRUE(rx.ack_due(false, /*ack_every=*/2));
+  rx.acked();
+  EXPECT_EQ(rx.unacked(), 0u);
+}
 
 TEST(FaultPlan, InertByDefault) {
   FaultPlan plan;

@@ -19,7 +19,10 @@ void Device::place(int chunk) {
 }
 
 void Nic::deliver(int chunk) {
-  engine_->post(1.0, [this, chunk] { place(chunk); });  // inherited call: Device::place
+  engine_->post(1.0, [this, chunk] {
+    place(chunk);         // inherited call: Device::place
+    window_.hold(chunk);  // class-template member: Window::hold
+  });
 }
 
 }  // namespace fixdev

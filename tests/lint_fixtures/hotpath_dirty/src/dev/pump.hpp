@@ -2,9 +2,11 @@
 // hotpath_check self-test fixture: the dirty tree. Engine::dispatch
 // commits one violation per rule (plus one inside a post() lambda and a
 // dormant mutation seam for the --mutation polarity case); the
-// self-test asserts every tag fires. Nic's continuation reaches its
-// only violation through a method it inherits from Device, so the
-// finding disappears if the walk stops following base classes.
+// self-test asserts every tag fires. Nic's continuation reaches one
+// violation through a method it inherits from Device, so the finding
+// disappears if the walk stops following base classes, and another
+// through its member of a class template, Window<int>, so it disappears
+// if the walk resolves the template argument instead of the template.
 
 namespace fixdev {
 
@@ -26,12 +28,22 @@ class Device {
   char* staging_ = nullptr;
 };
 
+template <typename Unit>
+class Window {
+ public:
+  void hold(Unit unit) { held_.push_back(unit); }  // -> hot_growth, reached only via Nic
+
+ private:
+  std::deque<Unit> held_;
+};
+
 class Nic final : public Device {
  public:
   void deliver(int chunk);
 
  private:
   Engine* engine_ = nullptr;
+  Window<int> window_;
 };
 
 }  // namespace fixdev

@@ -98,6 +98,8 @@ check("hotpath: dirty tree scanned the post lambda",
       "<post-lambda>" in dirty.stderr)
 check("hotpath: dirty tree followed an inherited call into the base class",
       "[hot_alloc] Device::place" in dirty.stderr)
+check("hotpath: dirty tree followed a member call into a class template",
+      "[hot_growth] Window::hold" in dirty.stderr)
 check("hotpath: dormant mutation seam is NOT flagged",
       "mutation_hotalloc" not in dirty.stderr)
 armed = run("hotpath_check.py", "--root",
