@@ -323,7 +323,7 @@ ChaosStats run(Network network, const topo::FabricSpec& spec, int endpoints,
     stats.give_ups += registry.counter_value("ib." + node + ".retry_exceeded");
     stats.give_ups += registry.counter_value("mx." + node + ".flow_failures");
   }
-  if (metrics_out != nullptr) *metrics_out = registry;
+  if (metrics_out != nullptr) *metrics_out = std::move(registry);
   return stats;
 }
 

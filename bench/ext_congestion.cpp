@@ -73,7 +73,7 @@ IncastResult run(std::uint64_t buffer_bytes, int clients, std::uint32_t chunk,
     result.retransmits +=
         registry.counter_value("iwarp.node" + std::to_string(c) + ".retransmits");
   }
-  if (out != nullptr) *out = registry;
+  if (out != nullptr) *out = std::move(registry);
   return result;
 }
 

@@ -103,7 +103,7 @@ Sample run_verbs(NetworkProfile profile, double loss, std::uint32_t len, int ite
   sample.retransmits = both_nodes(registry, stack, "retransmits");
   sample.naks = is_ib ? both_nodes(registry, stack, "naks_sent") : 0;
   sample.rto_fires = both_nodes(registry, stack, "rto_fires");
-  if (out != nullptr) *out = registry;
+  if (out != nullptr) *out = std::move(registry);
   return sample;
 }
 
@@ -150,7 +150,7 @@ Sample run_mx(double loss, std::uint32_t len, int iters, MetricRegistry* out = n
   sample.frames_dropped = plan.frames_dropped();
   sample.retransmits = both_nodes(registry, "mx", "resends");
   sample.rto_fires = both_nodes(registry, "mx", "rto_fires");
-  if (out != nullptr) *out = registry;
+  if (out != nullptr) *out = std::move(registry);
   return sample;
 }
 

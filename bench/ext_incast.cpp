@@ -142,7 +142,7 @@ RunStats run(Network network, const topo::FabricSpec& spec, int endpoints,
     stats.retransmits += registry.counter_value("mx." + node + ".resends");
   }
   if (hist_out != nullptr) *hist_out = hist;
-  if (metrics_out != nullptr) *metrics_out = registry;
+  if (metrics_out != nullptr) *metrics_out = std::move(registry);
   return stats;
 }
 

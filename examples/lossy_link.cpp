@@ -1,11 +1,13 @@
 // Failure injection demo: the iWARP stack carries a real TCP below DDP,
 // so it survives frame loss via go-back-N retransmission. This example
-// sweeps loss rates and shows the throughput collapse and retransmit
-// counts — something no other stack in this repository needs to handle
-// (IB and Myrinet fabrics are lossless by design).
+// drops frames on the wire with an engine-attached FaultPlan, sweeps
+// loss rates and shows the throughput collapse and retransmit counts —
+// something no other stack in this repository needs to handle (IB and
+// Myrinet fabrics are lossless by design).
 #include <cstdio>
 
 #include "core/cluster.hpp"
+#include "fault/plan.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
@@ -14,9 +16,11 @@ namespace {
 
 void run(double loss_rate) {
   NetworkProfile p = iwarp_profile();
-  p.rnic.loss_rate = loss_rate;
   p.rnic.rto = us(300);
   Cluster cluster(2, p);
+  fault::FaultPlan plan;
+  plan.drop_probability(loss_rate);
+  cluster.engine().set_fault_injector(&plan);
 
   verbs::CompletionQueue cq0(cluster.engine()), cq1(cluster.engine());
   auto qp0 = cluster.device(0).create_qp(cq0, cq0);

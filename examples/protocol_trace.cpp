@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "core/cluster.hpp"
+#include "fault/plan.hpp"
 
 using namespace fabsim;
 using namespace fabsim::core;
@@ -13,9 +14,11 @@ namespace {
 
 void run(double loss_rate) {
   NetworkProfile p = iwarp_profile();
-  p.rnic.loss_rate = loss_rate;
   p.rnic.rto = us(300);
   Cluster cluster(2, p);
+  fault::FaultPlan plan;
+  plan.drop_probability(loss_rate);
+  cluster.engine().set_fault_injector(&plan);
   Tracer tracer;
   cluster.engine().set_tracer(&tracer);
 

@@ -1,11 +1,10 @@
 // Chrome-trace export: run one rendezvous MPI message over iWARP with
-// the tracer and metric registry armed, then write a Trace Event Format
-// JSON file. Open it at ui.perfetto.dev (or chrome://tracing) to see the
-// two nodes as processes, host/NIC/wire/proto as rows, the switch queue
-// depth as a counter track, and — courtesy of an attached FabricProf
-// profiler — a "host (profiler)" process whose lanes show where the
-// *wall-clock* dispatch time went while the simulated lanes above show
-// where the *simulated* time went.
+// the tracer armed, then write a Trace Event Format JSON file. Open it
+// at ui.perfetto.dev (or chrome://tracing) to see the two nodes as
+// processes, host/NIC/wire/proto as rows, and — courtesy of an attached
+// FabricProf profiler — a "host (profiler)" process whose lanes show
+// where the *wall-clock* dispatch time went while the simulated lanes
+// above show where the *simulated* time went.
 //
 //   ./trace_export [output.json]      (default: trace_export.json)
 #include <cstdio>
@@ -22,10 +21,8 @@ int main(int argc, char** argv) {
 
   Cluster cluster(2, Network::kIwarp);
   Tracer tracer;
-  MetricRegistry metrics;
   Profiler profiler(Profiler::Config{.sample_stride = 1});  // every dispatch: short run
   cluster.engine().set_tracer(&tracer);
-  cluster.engine().set_metrics(&metrics);
   cluster.attach_profiler(profiler);
 
   const std::uint32_t len = 24 * 1024;  // rendezvous-sized
@@ -46,7 +43,7 @@ int main(int argc, char** argv) {
   }(cluster, dst.addr(), len));
   cluster.engine().run();
 
-  if (!write_chrome_trace(path, tracer, &metrics, &profiler)) {
+  if (!write_chrome_trace(path, tracer, &profiler)) {
     std::fprintf(stderr, "failed to write %s\n", path);
     return 1;
   }

@@ -17,12 +17,9 @@ Cluster::Cluster(int nodes, NetworkProfile profile)
     hw::Switch& edge = topo_.edge_for(i);
     nodes_.push_back(std::make_unique<hw::Node>(engine_, i, profile_.pcie, profile_.cpu));
     switch (profile_.network) {
-      case Network::kIwarp: {
-        iwarp::RnicConfig config = profile_.rnic;
-        config.rng_seed = 1000 + static_cast<std::uint64_t>(i);
-        rnics_.push_back(std::make_unique<iwarp::Rnic>(*nodes_.back(), edge, config));
+      case Network::kIwarp:
+        rnics_.push_back(std::make_unique<iwarp::Rnic>(*nodes_.back(), edge, profile_.rnic));
         break;
-      }
       case Network::kIb:
         hcas_.push_back(std::make_unique<ib::Hca>(*nodes_.back(), edge, profile_.hca));
         break;

@@ -1,6 +1,6 @@
 // Go-back-N, written once for IB RC (PSNs), the MX firmware flows
-// (per-peer frame seqs) and the iWARP TCP sender (byte-stream offsets).
-// Stacks arm it while hw::Switch::can_lose().
+// (per-peer frame seqs) and iWARP TCP (byte-stream offsets). Senders
+// hold units and arm the retry timer only while hw::Switch::can_lose().
 //
 // Neither half posts events or knows its caller: a stack arms the timer
 // and posts its own on_timeout(id, generation()) under its own scope
@@ -104,9 +104,9 @@ class RetransmitWindow {
   bool timer_armed_ = false;
 };
 
-/// Receiver half (IB PSNs, MX flow seqs): accepts units strictly in
-/// order, signals each gap once and counts units toward the next
-/// coalesced ack.
+/// Receiver half (IB PSNs, MX flow seqs, iWARP byte-stream offsets):
+/// accepts units strictly in order, signals each gap once and counts
+/// units toward the next coalesced ack.
 class InOrderReceiver {
  public:
   enum class Arrival : std::uint8_t {
@@ -116,10 +116,11 @@ class InOrderReceiver {
     kGapSignalled,  ///< ahead again; the gap was already signalled
   };
 
-  /// Classify unit `seq`; an in-order one counts toward the next ack.
-  Arrival accept(std::uint64_t seq) {
+  /// Classify unit [seq, seq + len); an in-order one counts toward the
+  /// next ack.
+  Arrival accept(std::uint64_t seq, std::uint64_t len = 1) {
     if (seq == expected_) {
-      expected_ = seq + 1;
+      expected_ = seq + len;
       gap_signalled_ = false;
       ++unacked_;
       return Arrival::kInOrder;

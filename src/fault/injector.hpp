@@ -1,20 +1,19 @@
 // Fault-injection surface shared by every fabric.
 //
 // A FaultInjector is attached to the Engine (like the Tracer) and is
-// consulted once per frame at each injection point: hw::Switch fault
-// seams (once per frame on the seed's direct crossbar; once per *hop* on
-// routed multi-stage fabrics, so a FaultPlan can address an individual
-// link by (switch, output port)), and NIC transmit paths that model
-// adapter-local loss (the iWARP RNIC's `loss_rate`). The injector
-// decides the frame's fate — deliver, drop, corrupt (delivered but
-// discarded by the receiver's CRC check), or delay — and the go-back-N
-// recovery every stack shares (fault/go_back_n.hpp: iWARP TCP, IB RC
-// retransmission, MX resend) earns its keep against those decisions.
+// consulted once per frame at the hw::Switch fault seams: once per frame
+// on the seed's direct crossbar, once per *hop* on routed multi-stage
+// fabrics, so a FaultPlan can address an individual link by (switch,
+// output port). Frames are lost only there. The injector decides the
+// frame's fate — deliver, drop, corrupt (delivered but discarded by the
+// receiver's CRC check), or delay — and the go-back-N recovery every
+// stack shares (fault/go_back_n.hpp: iWARP TCP, IB RC retransmission, MX
+// resend) earns its keep against those decisions.
 //
 // Stacks arm that recovery only while hw::Switch::can_lose() is true —
-// `faults_armed()` here, or bounded tail-drop buffers (and the iWARP
-// RNIC for its own `loss_rate`) — so an absent or inert injector leaves
-// every lossless run byte-identical in timing to the unhooked simulator.
+// `faults_armed()` here, or bounded tail-drop buffers — so an absent or
+// inert injector leaves every lossless run byte-identical in timing to
+// the unhooked simulator.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +27,7 @@ namespace fabsim::fault {
 /// also names the hop: the switch consulting the injector and the output
 /// port the frame was routed to — together they address one directed
 /// link, so plans can fail individual cables and whole switches. The
-/// seed's direct crossbar and NIC-local injection leave them at -1.
+/// seed's direct crossbar leaves them at -1.
 struct FaultSite {
   Time now = 0;
   int src_node = -1;

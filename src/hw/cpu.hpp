@@ -71,14 +71,13 @@ class CacheModel {
 
 class HostCpu {
  public:
-  HostCpu(Engine& engine, CpuConfig config = {}, int node = -1)
-      : engine_(&engine), config_(config), cache_(config.cache_bytes, config.cache_page),
-        node_(node) {}
+  HostCpu(Engine& engine, CpuConfig config = {})
+      : engine_(&engine), config_(config), cache_(config.cache_bytes, config.cache_page) {}
 
   /// Awaitable: consume `duration` of CPU time (serialized with other work
   /// charged to this CPU).
   Engine::SleepAwaiter compute(Time duration) {
-    engine_->charge_phase(Phase::kHost, node_, duration);
+    engine_->charge_phase(Phase::kHost, duration);
     return serve(*engine_, core_, duration);
   }
 
@@ -97,25 +96,23 @@ class HostCpu {
   /// Non-coroutine booking, for NIC-driven work that consumes host CPU
   /// (e.g. page pinning in the kernel). Returns the completion time.
   Time charge(Time now, Time duration) {
-    engine_->charge_phase(Phase::kHost, node_, duration);
+    engine_->charge_phase(Phase::kHost, duration);
     return core_.book(now, duration);
   }
   Time charge_copy(Time now, std::uint64_t addr, std::uint64_t bytes) {
     const Time cost = copy_cost(addr, bytes);
-    engine_->charge_phase(Phase::kHost, node_, cost);
+    engine_->charge_phase(Phase::kHost, cost);
     return core_.book(now, cost);
   }
 
   Time busy_time() const { return core_.busy_time(); }
   const CpuConfig& config() const { return config_; }
-  int node() const { return node_; }
 
  private:
   Engine* engine_;
   CpuConfig config_;
   SerialServer core_;
   CacheModel cache_;
-  int node_ = -1;
 };
 
 }  // namespace fabsim::hw

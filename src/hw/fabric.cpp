@@ -4,18 +4,6 @@
 
 namespace fabsim::hw {
 
-namespace {
-
-/// Metric-name prefix for one output port. The seed's single crossbar
-/// keeps its flat names (switch.portN.*) so existing readers stay valid;
-/// routed fabrics qualify by switch id (switch.sK.portN.*).
-std::string port_prefix(const SwitchConfig& config, bool routed, int port) {
-  if (!routed) return "switch.port" + std::to_string(port) + ".";
-  return "switch.s" + std::to_string(config.id) + ".port" + std::to_string(port) + ".";
-}
-
-}  // namespace
-
 int Switch::attach(FrameSink& sink) {
   Port port;
   port.sink = &sink;
@@ -128,9 +116,6 @@ void Switch::ingress_direct(Frame frame) {
     if (config_.max_queue_bytes > 0 &&
         backlog_bytes + frame.wire_bytes > static_cast<double>(config_.max_queue_bytes)) {
       ++out.drops;
-      if (MetricRegistry* m = engine_->metrics()) {
-        m->counter(port_prefix(config_, false, dst) + "tail_drops").add();
-      }
       return;
     }
   }
@@ -150,8 +135,8 @@ void Switch::ingress_direct(Frame frame) {
   const Time sent = out.tx.book(at_switch, serialization);
   const Time delivered = sent + config_.propagation;
   // Wire phase: serialization through the congested output port plus
-  // the fixed traversal costs, attributed to the sender.
-  engine_->charge_phase(Phase::kWire, frame.src_node,
+  // the fixed traversal costs.
+  engine_->charge_phase(Phase::kWire,
                         serialization + config_.cut_through + 2 * config_.propagation);
   // Scope label: delivery runs entirely inside the destination NIC
   // (sink == the NIC attached to port `dst`), so co-enabled deliveries
@@ -196,7 +181,7 @@ void Switch::ingress_routed(Frame frame) {
 
   // First-hop traversal costs; per-hop serialization is charged at each
   // output port's transmit, downstream cut-through at each link arrival.
-  engine_->charge_phase(Phase::kWire, frame.src_node, config_.propagation + config_.cut_through);
+  engine_->charge_phase(Phase::kWire, config_.propagation + config_.cut_through);
   frame.credit_port = -1;  // NIC-side ingress commits no credit
   // Admission mutates shared switch queue state, so the honest label is
   // -1. The FabricScope-Check mutation seam swaps in the source node's
@@ -214,7 +199,7 @@ void Switch::ingress_routed(Frame frame) {
 void Switch::link_arrival(Frame frame) {
   FABSIM_AUDIT_SHARED(*engine_, check::Layer::kHw, config_.id, "Switch::link_arrival");
   ++frames_ingressed_;
-  engine_->charge_phase(Phase::kWire, frame.src_node, config_.cut_through);
+  engine_->charge_phase(Phase::kWire, config_.cut_through);
   const bool credit_frame = config_.flow == FlowControl::kCredit && frame.credit_port >= 0;
   if (down_) {
     // Switch died with frames still in flight toward it. Return the
@@ -277,9 +262,6 @@ FABSIM_HOT void Switch::admit(int port, Frame frame, bool credit_reserved) {
         out.occupancy_bytes + frame.wire_bytes >
             static_cast<std::int64_t>(config_.max_queue_bytes)) {
       ++out.drops;
-      if (MetricRegistry* m = engine_->metrics()) {
-        m->counter(port_prefix(config_, true, port) + "tail_drops").add();
-      }
       return;
     }
     out.occupancy_bytes += frame.wire_bytes;
@@ -349,7 +331,7 @@ void Switch::try_transmit(int port) {
 
   const Time serialization = config_.link_rate.bytes_time(frame.wire_bytes);
   out.tx.book(engine_->now(), serialization);
-  engine_->charge_phase(Phase::kWire, frame.src_node, serialization + config_.propagation);
+  engine_->charge_phase(Phase::kWire, serialization + config_.propagation);
   const Time sent = engine_->now() + serialization;
 
   if (out.sink != nullptr) {

@@ -14,8 +14,8 @@ namespace fabsim::hw {
 class Node {
  public:
   Node(Engine& engine, int id, PciConfig pcie, CpuConfig cpu = {})
-      : engine_(&engine), id_(id), cpu_(engine, cpu, id), pcie_(pcie) {
-    pcie_.set_owner(&engine, id);
+      : engine_(&engine), id_(id), cpu_(engine, cpu), pcie_(pcie) {
+    pcie_.set_owner(&engine);
   }
 
   int id() const { return id_; }

@@ -26,11 +26,8 @@ class PcieBus {
  public:
   explicit PcieBus(PciConfig config) : config_(config) {}
 
-  /// Attribute future DMA time to the NIC phase of `node` (FabricScope).
-  void set_owner(Engine* engine, int node) {
-    engine_ = engine;
-    node_ = node;
-  }
+  /// Attribute future DMA time to the engine's NIC phase (FabricScope).
+  void set_owner(Engine* engine) { engine_ = engine; }
 
   /// DMA read by the device from host memory (descriptor/data fetch).
   /// Returns completion time of the full transfer.
@@ -58,7 +55,7 @@ class PcieBus {
  private:
   Time dma(SerialServer& dir, Time now, std::uint64_t bytes) {
     const Time cost = config_.transaction + config_.rate.bytes_time(bytes);
-    if (engine_ != nullptr) engine_->charge_phase(Phase::kNic, node_, cost);
+    if (engine_ != nullptr) engine_->charge_phase(Phase::kNic, cost);
     return dir.book(now, cost);
   }
 
@@ -66,7 +63,6 @@ class PcieBus {
   SerialServer to_device_;
   SerialServer from_device_;
   Engine* engine_ = nullptr;
-  int node_ = -1;
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;
 };
@@ -77,16 +73,13 @@ class PcixBus {
  public:
   explicit PcixBus(PciConfig config) : config_(config) {}
 
-  /// Attribute future transfer time to the NIC phase of `node`.
-  void set_owner(Engine* engine, int node) {
-    engine_ = engine;
-    node_ = node;
-  }
+  /// Attribute future transfer time to the engine's NIC phase.
+  void set_owner(Engine* engine) { engine_ = engine; }
 
   Time transfer(Time now, std::uint64_t bytes) {
     bytes_transferred_ += bytes;
     const Time cost = config_.transaction + config_.rate.bytes_time(bytes);
-    if (engine_ != nullptr) engine_->charge_phase(Phase::kNic, node_, cost);
+    if (engine_ != nullptr) engine_->charge_phase(Phase::kNic, cost);
     return bus_.book(now, cost);
   }
 
@@ -98,7 +91,6 @@ class PcixBus {
   PciConfig config_;
   SerialServer bus_;
   Engine* engine_ = nullptr;
-  int node_ = -1;
   std::uint64_t bytes_transferred_ = 0;
 };
 

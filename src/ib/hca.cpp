@@ -57,7 +57,7 @@ Time Hca::engine_process(Time ready, const Packet& packet, bool transmit_side,
     occupancy += transmit_side ? config_.tx_message_proc : config_.rx_message_proc;
     occupancy += context_access(local_conn_id);
   }
-  engine().charge_phase(Phase::kNic, node_->id(), occupancy);
+  engine().charge_phase(Phase::kNic, occupancy);
   return proc_.book(ready, occupancy) + config_.engine_latency_pad;
 }
 
@@ -100,13 +100,13 @@ FABSIM_HOT void Hca::transmit_packet(Conn& conn, Packet packet, bool retransmit)
   if (carries_data) {
     const Time dma_cost =
         config_.dma_transaction + config_.dma_rate.bytes_time(packet.payload_len + 64);
-    engine().charge_phase(Phase::kNic, node_->id(), dma_cost);
+    engine().charge_phase(Phase::kNic, dma_cost);
     ready = dma_.book(ready, dma_cost);
   }
   const Time processed = engine_process(ready, packet, /*transmit_side=*/true, conn.id);
   const Time serialization =
       fabric_->config().link_rate.bytes_time(packet.payload_len + config_.packet_overhead);
-  engine().charge_phase(Phase::kWire, node_->id(), serialization);
+  engine().charge_phase(Phase::kWire, serialization);
   const Time sent = tx_link_.book(processed, serialization);
 
   // On the lossless fabric the send completion can be pushed at wire
@@ -143,10 +143,10 @@ void Hca::send_ack(Conn& conn, bool nak) {
 
   // Acks share the protocol engine and the tx link with data, and ride the
   // fabric like any other frame — so they too can be dropped or delayed.
-  engine().charge_phase(Phase::kNic, node_->id(), config_.ack_proc);
+  engine().charge_phase(Phase::kNic, config_.ack_proc);
   const Time processed = proc_.book(engine().now(), config_.ack_proc);
   const Time ack_serialization = fabric_->config().link_rate.bytes_time(config_.ack_wire_bytes);
-  engine().charge_phase(Phase::kWire, node_->id(), ack_serialization);
+  engine().charge_phase(Phase::kWire, ack_serialization);
   const Time sent = tx_link_.book(processed, ack_serialization);
   const int src = port_;
   const int dst = conn.peer->fabric_port();
@@ -293,7 +293,7 @@ void Hca::deliver(hw::Frame frame) {
   Conn& conn = conn_at(packet.dst_conn_id);
 
   if (packet.is_ack || packet.is_nak) {
-    engine().charge_phase(Phase::kNic, node_->id(), config_.ack_proc);
+    engine().charge_phase(Phase::kNic, config_.ack_proc);
     const Time done = proc_.book(engine().now(), config_.ack_proc);
     const int conn_id = packet.dst_conn_id;
     engine().post(done, /*scope=*/port_, [this, conn_id, packet] {
@@ -332,7 +332,7 @@ void Hca::deliver(hw::Frame frame) {
     // Read-after-write ordering: the responder must observe all earlier
     // placements from this stream before snapshotting the source, so the
     // request rides through the same FIFO DMA stage the data uses.
-    engine().charge_phase(Phase::kNic, node_->id(), config_.dma_transaction);
+    engine().charge_phase(Phase::kNic, config_.dma_transaction);
     const Time ordered = dma_.book(processed, config_.dma_transaction);
     const int conn_id = packet.dst_conn_id;
     engine().post(ordered, /*scope=*/port_, [this, conn_id, packet = std::move(packet)] {
@@ -343,7 +343,7 @@ void Hca::deliver(hw::Frame frame) {
 
   const Time place_cost =
       config_.dma_transaction + config_.dma_rate.bytes_time(packet.payload_len + 64);
-  engine().charge_phase(Phase::kNic, node_->id(), place_cost);
+  engine().charge_phase(Phase::kNic, place_cost);
   const Time placed = dma_.book(processed, place_cost);
   const int conn_id = packet.dst_conn_id;
   engine().post(placed, /*scope=*/port_, [this, conn_id, packet = std::move(packet)] {

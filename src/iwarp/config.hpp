@@ -48,14 +48,12 @@ struct RnicConfig {
   /// out after this long anyway (prevents stalls when the sender's
   /// window closes before the ack quota is met).
   Time delayed_ack_timeout = us(40);
-  double loss_rate = 0.0;
   Time rto = us(500);
   /// Consecutive RTO fires without ack progress before the connection is
   /// torn down (TCP gives up and resets): outstanding work flushes with
   /// kRetryExceeded and the peer is notified out-of-band — the model's
   /// RST analog. Keeps fabric partitions from hanging the stack.
   int retry_limit = 15;
-  std::uint64_t rng_seed = 1;
 
   hw::RegistrationConfig reg{us(1.0), us(4.0), us(0.5), us(0.5), 4096};
 };

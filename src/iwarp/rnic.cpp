@@ -15,10 +15,8 @@ Rnic::Rnic(hw::Node& node, hw::Switch& fabric, RnicConfig config)
     : verbs::Device("iwarp", node, fabric, config.reg, config.post_send_cpu,
                     config.post_recv_cpu),
       config_(config),
-      pcix_(config.pcix),
-      loss_plan_(config.rng_seed) {
-  if (config_.loss_rate > 0.0) loss_plan_.drop_probability(config_.loss_rate);
-  pcix_.set_owner(&node.engine(), node.id());
+      pcix_(config.pcix) {
+  pcix_.set_owner(&node.engine());
 }
 
 void Rnic::submit(verbs::Conn& posted, verbs::Message msg) {
@@ -65,7 +63,7 @@ void Rnic::pump(Conn& conn) {
 
 FABSIM_HOT void Rnic::emit_segment(Conn& conn, OutMsg& msg, std::uint32_t chunk) {
   Segment segment{verbs::chunk_header(msg, msg.msg_id, msg.offset, chunk, conn.peer_conn_id)};
-  segment.ack = conn.rcv_nxt;  // piggybacked cumulative ack
+  segment.ack = conn.rx.expected();  // piggybacked cumulative ack
   if (check::InvariantMonitor* monitor = engine().monitor()) {
     // TCP window legality: pump() already refused segments that do not
     // fit, so an overrun here means the sliding-window bookkeeping broke.
@@ -74,8 +72,11 @@ FABSIM_HOT void Rnic::emit_segment(Conn& conn, OutMsg& msg, std::uint32_t chunk)
   }
   msg.offset += chunk;
   segment.seq = conn.tx.stamp(chunk);
-  conn.tx.hold(segment, segment.seq)
-      .report(engine().monitor(), engine().now(), check::Layer::kIwarp, node_->id());
+  if (fabric_->can_lose()) {
+    // Keep a copy for go-back-N only while the fabric can lose it.
+    conn.tx.hold(segment, segment.seq)
+        .report(engine().monitor(), engine().now(), check::Layer::kIwarp, node_->id());
+  }
   transmit(conn, std::move(segment), /*retransmit=*/false);
   arm_timer(conn);
 }
@@ -125,53 +126,40 @@ void Rnic::transmit(Conn& conn, Segment segment, bool retransmit) {
   const Time occupancy = config_.tx_occupancy +
                          config_.engine_byte_rate.bytes_time(segment.payload_len) +
                          (segment.first_of_message ? config_.per_message_overhead : 0);
-  engine().charge_phase(Phase::kNic, node_->id(), occupancy);
+  engine().charge_phase(Phase::kNic, occupancy);
   const Time engine_done = tx_engine_.book(ready, occupancy, config_.tx_latency);
 
   // Stage 3: Ethernet serialization onto the NIC->switch link.
   const std::uint32_t wire_bytes = segment.payload_len + config_.seg_overhead;
   const Time serialization = fabric_->config().link_rate.bytes_time(wire_bytes);
-  engine().charge_phase(Phase::kWire, node_->id(), serialization);
+  engine().charge_phase(Phase::kWire, serialization);
   const Time sent = tx_link_.book(engine_done, serialization);
 
   const int src = port_;
   const int dst = conn.peer->fabric_port();
-  bool drop = false;
-  if (config_.loss_rate > 0.0) {
-    const fault::FaultSite site{engine().now(), src, dst, wire_bytes};
-    drop = loss_plan_.on_frame(site).action == fault::FaultAction::kDrop;
-  }
   const bool completes = segment.completes_send() && !retransmit;
   verbs::QueuePair* qp = conn.qp;
-  engine().post(sent, [this, segment = std::move(segment), drop, completes, qp, src,
-                       dst]() mutable {
+  engine().post(sent, [this, segment = std::move(segment), completes, qp, src, dst]() mutable {
     if (completes) complete_send(*qp, segment);
-    if (!drop) {
-      fabric_->ingress(hw::Frame{src, dst, segment.payload_len + config_.seg_overhead,
-                                 std::move(segment)});
-    }
+    fabric_->ingress(
+        hw::Frame{src, dst, segment.payload_len + config_.seg_overhead, std::move(segment)});
   });
 }
 
 void Rnic::send_pure_ack(Conn& conn) {
   ++acks_sent_;
-  conn.segs_since_ack = 0;
+  conn.rx.acked();
   Segment ack{};
   ack.dst_conn_id = conn.peer_conn_id;
   ack.payload_len = 0;
-  ack.ack = conn.rcv_nxt;
+  ack.ack = conn.rx.expected();
   const Time ack_serialization = fabric_->config().link_rate.bytes_time(config_.ack_wire_bytes);
-  engine().charge_phase(Phase::kWire, node_->id(), ack_serialization);
+  engine().charge_phase(Phase::kWire, ack_serialization);
   const Time sent = tx_link_.book(engine().now(), ack_serialization);
   const int src = port_;
   const int dst = conn.peer->fabric_port();
-  bool drop = false;
-  if (config_.loss_rate > 0.0) {
-    const fault::FaultSite site{engine().now(), src, dst, config_.ack_wire_bytes};
-    drop = loss_plan_.on_frame(site).action == fault::FaultAction::kDrop;
-  }
-  engine().post(sent, [this, ack = std::move(ack), drop, src, dst]() mutable {
-    if (!drop) fabric_->ingress(hw::Frame{src, dst, config_.ack_wire_bytes, std::move(ack)});
+  engine().post(sent, [this, ack = std::move(ack), src, dst]() mutable {
+    fabric_->ingress(hw::Frame{src, dst, config_.ack_wire_bytes, std::move(ack)});
   });
 }
 
@@ -195,10 +183,8 @@ void Rnic::handle_ack(Conn& conn, std::uint64_t ack) {
 }
 
 void Rnic::arm_timer(Conn& conn) {
-  // Timers only matter while frames can vanish: on the fabric, or to this
-  // adapter's own loss plan.
-  const bool lossy = fabric_->can_lose() || config_.loss_rate > 0.0;
-  if (!lossy || !conn.tx.arm()) return;
+  // Timers only matter while the fabric can lose a frame.
+  if (!fabric_->can_lose() || !conn.tx.arm()) return;
   const std::uint64_t gen = conn.tx.generation();
   const int conn_id = conn.id;
   engine().post(engine().now() + conn.tx.timeout(config_.rto, /*backoff_cap=*/0),
@@ -226,7 +212,7 @@ void Rnic::on_timeout(int conn_id, std::uint64_t gen) {
   // Go-back-N: resend everything outstanding.
   for (std::size_t i = 0; i < conn.tx.size(); ++i) {
     Segment copy = conn.tx[i];
-    copy.ack = conn.rcv_nxt;
+    copy.ack = conn.rx.expected();
     transmit(conn, std::move(copy), /*retransmit=*/true);
   }
   arm_timer(conn);
@@ -298,28 +284,27 @@ void Rnic::deliver(hw::Frame frame) {
   handle_ack(conn, segment.ack);
   if (segment.payload_len == 0) {
     // Pure ack: account engine occupancy for throughput fidelity only.
-    engine().charge_phase(Phase::kNic, node_->id(), config_.ack_occupancy);
+    engine().charge_phase(Phase::kNic, config_.ack_occupancy);
     rx_engine_.book(engine().now(), config_.ack_occupancy, config_.ack_occupancy);
     return;
   }
 
-  if (segment.seq != conn.rcv_nxt) {
-    // Out of order (a preceding frame was dropped): go-back-N receiver
-    // drops the segment and re-asserts the cumulative ack.
+  using Arrival = fault::InOrderReceiver::Arrival;
+  if (conn.rx.accept(segment.seq, segment.payload_len) != Arrival::kInOrder) {
+    // Out of order (a preceding frame was dropped, or a resend raced an
+    // ack): go-back-N receiver drops the segment and re-asserts the
+    // cumulative ack.
     send_pure_ack(conn);
     return;
   }
-  conn.rcv_nxt += segment.payload_len;
-  ++conn.segs_since_ack;
 
   const Time occupancy = config_.rx_occupancy +
                          config_.engine_byte_rate.bytes_time(segment.payload_len) +
                          (segment.first_of_message ? config_.per_message_overhead : 0);
-  engine().charge_phase(Phase::kNic, node_->id(), occupancy);
+  engine().charge_phase(Phase::kNic, occupancy);
   const Time engine_done = rx_engine_.book(engine().now(), occupancy, config_.rx_latency);
 
-  const bool ack_now = conn.segs_since_ack >= config_.ack_every || segment.last_of_message;
-  if (ack_now) {
+  if (conn.rx.ack_due(segment.last_of_message, config_.ack_every)) {
     send_pure_ack(conn);
   } else if (!conn.delack_armed) {
     // Classic delayed-ACK timer: the withheld ack goes out soon even if
@@ -330,7 +315,7 @@ void Rnic::deliver(hw::Frame frame) {
     engine().post(engine().now() + config_.delayed_ack_timeout, /*scope=*/port_, [this, conn_id] {
       Conn& c = conn_at(conn_id);
       c.delack_armed = false;
-      if (c.segs_since_ack > 0) send_pure_ack(c);
+      if (c.rx.unacked() > 0) send_pure_ack(c);
     });
   }
 

@@ -14,10 +14,11 @@
 // The verbs message layer (registration, QPs, work-request translation,
 // placement and completion) is verbs::Device's; this class is the
 // transport under it. The stack is event-driven (no coroutines inside
-// the NIC); only the host-facing verbs calls are awaitable. The TCP
-// sender keeps segments for go-back-N resend (fault/go_back_n.hpp) and,
-// while a frame can be lost (hw::Switch::can_lose(), or the optional
-// adapter-local `loss_rate`), runs a fixed retry timeout over them.
+// the NIC); only the host-facing verbs calls are awaitable. TCP runs on
+// the shared go-back-N (fault/go_back_n.hpp): the receiver accepts the
+// byte stream in order, and while a frame can be lost
+// (hw::Switch::can_lose()) the sender keeps segments for resend and runs
+// a fixed retry timeout over them.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,6 @@
 #include <memory>
 
 #include "fault/go_back_n.hpp"
-#include "fault/plan.hpp"
 #include "iwarp/config.hpp"
 #include "sim/scope.hpp"
 #include "verbs/verbs.hpp"
@@ -83,8 +83,7 @@ class Rnic final : public verbs::Device {
     std::uint64_t snd_una = 0;            ///< oldest unacknowledged byte
 
     // Receive.
-    std::uint64_t rcv_nxt = 0;
-    int segs_since_ack = 0;
+    fault::InOrderReceiver rx;  ///< rcv_nxt and the segments owed an ack
     bool delack_armed = false;
   };
 
@@ -122,10 +121,6 @@ class Rnic final : public verbs::Device {
   PipelinedServer tx_engine_;
   PipelinedServer rx_engine_;
   SerialServer tx_link_;
-  /// Adapter-local loss (`config.loss_rate`) expressed as a private
-  /// FaultPlan, so the legacy knob and engine-level injectors share one
-  /// decision surface (and one seeded draw sequence).
-  fault::FaultPlan loss_plan_;
   std::uint64_t segments_sent_ = 0;
   std::uint64_t acks_sent_ = 0;
   std::uint64_t retransmits_ = 0;

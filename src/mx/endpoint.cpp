@@ -77,7 +77,7 @@ Task<RequestPtr> Endpoint::irecv(std::uint64_t addr, std::uint32_t capacity,
   // both queues and strand the rendezvous.
   const Time handoff = engine().now() + config_.doorbell;
   const Time traversal = config_.match_unexpected_item * (unexpected_.size() + 1);
-  engine().charge_phase(Phase::kNic, node_->id(), traversal);
+  engine().charge_phase(Phase::kNic, traversal);
   const Time matched_at = rx_engine_.book(handoff, traversal, traversal);
   co_await engine().sleep_until(matched_at);
 
@@ -134,7 +134,7 @@ Task<Endpoint::ProbeResult> Endpoint::iprobe(std::uint64_t match_bits,
   co_await node_->cpu().compute(config_.test_cpu);
   // The NIC walks the unexpected queue, same cost model as a receive.
   const Time traversal = config_.match_unexpected_item * (unexpected_.size() + 1);
-  engine().charge_phase(Phase::kNic, node_->id(), traversal);
+  engine().charge_phase(Phase::kNic, traversal);
   const Time done = rx_engine_.book(engine().now() + config_.doorbell, traversal, traversal);
   co_await engine().sleep_until(done);
   for (const Unexpected& u : unexpected_) {
@@ -204,7 +204,7 @@ void Endpoint::pump_tx() {
     const Time fetched = node_->pcie().dma_read(ready, tx.frame.payload_len + 64);
     const Time dma_cost =
         config_.dma_transaction + config_.dma_rate.bytes_time(tx.frame.payload_len + 64);
-    engine().charge_phase(Phase::kNic, node_->id(), dma_cost);
+    engine().charge_phase(Phase::kNic, dma_cost);
     ready = dma_.book(fetched, dma_cost);
     engine().post(fetched, /*scope=*/port_, [this] { pump_tx(); });
   } else {
@@ -214,13 +214,13 @@ void Endpoint::pump_tx() {
   const Time occupancy = config_.tx_occupancy +
                          config_.engine_byte_rate.bytes_time(tx.frame.payload_len) +
                          (tx.frame.first_of_message ? config_.per_message_overhead : 0);
-  engine().charge_phase(Phase::kNic, node_->id(), occupancy);
+  engine().charge_phase(Phase::kNic, occupancy);
   const Time processed = tx_engine_.book(ready, occupancy, config_.tx_latency);
   const std::uint32_t wire_bytes =
       std::max<std::uint32_t>(tx.frame.payload_len, config_.control_bytes) +
       config_.frame_overhead;
   const Time serialization = fabric_->config().link_rate.bytes_time(wire_bytes);
-  engine().charge_phase(Phase::kWire, node_->id(), serialization);
+  engine().charge_phase(Phase::kWire, serialization);
   const Time sent = tx_link_.book(processed, serialization);
   const int src = port_;
   engine().post(sent, [this, tx = std::move(tx), src, wire_bytes]() mutable {
@@ -462,7 +462,7 @@ void Endpoint::deliver(hw::Frame raw) {
     if (frame.has_ack) handle_flow_ack(frame.src_port, frame.ack);
     if (frame.kind == FrameKind::kAck) {
       // Ack-only frame: consumes a sliver of engine time, nothing more.
-      engine().charge_phase(Phase::kNic, node_->id(), config_.rx_occupancy / 2);
+      engine().charge_phase(Phase::kNic, config_.rx_occupancy / 2);
       rx_engine_.book(engine().now(), config_.rx_occupancy / 2, config_.rx_latency);
       return;
     }
@@ -500,14 +500,14 @@ void Endpoint::deliver(hw::Frame raw) {
     occupancy += config_.match_posted_item * (scanned == 0 ? 1 : scanned);
   }
 
-  engine().charge_phase(Phase::kNic, node_->id(), occupancy);
+  engine().charge_phase(Phase::kNic, occupancy);
   const Time processed = rx_engine_.book(engine().now(), occupancy, config_.rx_latency);
 
   switch (frame.kind) {
     case FrameKind::kEager: {
       const Time land_cost =
           config_.dma_transaction + config_.dma_rate.bytes_time(frame.payload_len + 64);
-      engine().charge_phase(Phase::kNic, node_->id(), land_cost);
+      engine().charge_phase(Phase::kNic, land_cost);
       Time landed = dma_.book(processed, land_cost);
       landed = node_->pcie().dma_write(landed, frame.payload_len + 64);
       engine().post(landed, /*scope=*/port_, [this, frame = std::move(frame)]() mutable {
@@ -526,7 +526,7 @@ void Endpoint::deliver(hw::Frame raw) {
     case FrameKind::kData: {
       const Time place_cost =
           config_.dma_transaction + config_.dma_rate.bytes_time(frame.payload_len + 64);
-      engine().charge_phase(Phase::kNic, node_->id(), place_cost);
+      engine().charge_phase(Phase::kNic, place_cost);
       Time placed = dma_.book(processed, place_cost);
       placed = node_->pcie().dma_write(placed, frame.payload_len + 64);
       engine().post(placed, /*scope=*/port_,

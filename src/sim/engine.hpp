@@ -201,22 +201,16 @@ class Engine {
   MetricRegistry* metrics() { return metrics_; }
   void set_metrics(MetricRegistry* metrics) { metrics_ = metrics; }
 
-  /// Convenience: attribute `duration` of simulated time at `node` to a
-  /// LogP-style phase (host CPU / NIC / wire) if metrics are enabled.
-  void charge_phase(Phase phase, int node, Time duration) {
-    if (metrics_ != nullptr) metrics_->charge_phase(phase, node, duration);
-  }
-
-  /// Convenience: record a timestamped counter-track sample (for
-  /// Chrome-trace counter tracks) if metrics are enabled.
-  void metric_sample(const std::string& track, double value) {
-    if (metrics_ != nullptr) metrics_->sample(now_, track, value);
+  /// Convenience: attribute `duration` of simulated time to a LogP-style
+  /// phase (host CPU / NIC / wire) if metrics are enabled.
+  void charge_phase(Phase phase, Time duration) {
+    if (metrics_ != nullptr) metrics_->charge_phase(phase, duration);
   }
 
   /// Optional fault injector (null when the fabric is perfect). Owned by
-  /// the caller, like the tracer; the Switch and the NIC frame paths
-  /// consult it per frame. Attach before traffic starts — stacks sample
-  /// it to decide whether to arm their recovery machinery.
+  /// the caller, like the tracer; the Switch consults it per frame.
+  /// Attach before traffic starts — stacks sample it to decide whether
+  /// to arm their recovery machinery.
   fault::FaultInjector* fault_injector() { return fault_injector_; }
   void set_fault_injector(fault::FaultInjector* injector) { fault_injector_ = injector; }
 

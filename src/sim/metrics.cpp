@@ -1,18 +1,17 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace fabsim {
 
 std::vector<std::pair<std::string, double>> MetricRegistry::snapshot() const {
   std::vector<std::pair<std::string, double>> out;
-  out.reserve(counters_.size() + gauges_.size() + 3);
-  for (const auto& [name, counter] : counters_) {
-    out.emplace_back(name, static_cast<double>(counter.value()));
+  out.reserve(counters().size() + gauges().size() + 3);
+  for (const auto& [name, counter] : counters()) {
+    out.emplace_back(std::string(name), static_cast<double>(counter.value()));
   }
-  for (const auto& [name, gauge] : gauges_) {
-    out.emplace_back(name + ".max", gauge.max());
+  for (const auto& [name, gauge] : gauges()) {
+    out.emplace_back(std::string(name) + ".max", gauge.max());
   }
   const Phase phases[3] = {Phase::kHost, Phase::kNic, Phase::kWire};
   for (Phase phase : phases) {
@@ -20,15 +19,9 @@ std::vector<std::pair<std::string, double>> MetricRegistry::snapshot() const {
     if (t > 0) out.emplace_back(std::string("phase.") + phase_name(phase) + ".us", to_us(t));
   }
   // Counters/gauges are already sorted within their maps; merge-sort the
-  // combined view so the dump reads as one taxonomy.
+  // combined view so it reads as one taxonomy.
   std::sort(out.begin(), out.end());
   return out;
-}
-
-void MetricRegistry::dump(std::FILE* out) const {
-  for (const auto& [name, value] : snapshot()) {
-    std::fprintf(out, "%-44s %.3f\n", name.c_str(), value);
-  }
 }
 
 }  // namespace fabsim

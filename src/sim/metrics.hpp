@@ -6,22 +6,29 @@
 // pointer so the cost is one branch when observability is off. Names
 // are hierarchical dotted strings ("ib.node0.retransmits",
 // "switch.port2.tail_drops", "mpi.rank1.unexpected_max_depth") so a
-// dump sorts into a readable taxonomy and downstream tools can split on
-// '.' to group by component.
+// snapshot sorts into a readable taxonomy and downstream tools can
+// split on '.' to group by component.
 //
 // Two populations coexist:
 //   * pull — components keep their own cheap integer counters (they
 //     already do: retransmits_, reg_hits_, busy_time()); at end of run
-//     Cluster::collect_metrics() snapshots them into the registry.
-//   * push — events that must be attributed as they happen: phase time
-//     (host/NIC/wire, the Fig. 5 decomposition) and timestamped counter
-//     samples for the Chrome-trace counter tracks.
+//     Cluster::collect_metrics() snapshots them into the registry, so
+//     names exist only at collection time.
+//   * push — phase time (host/NIC/wire, the Fig. 5 decomposition),
+//     attributed as it is booked.
+//
+// Names and metrics live in one arena per registry: destroying a
+// registry frees a few blocks, not one heap node per name.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
+#include <functional>
 #include <map>
+#include <memory>
+#include <memory_resource>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -71,84 +78,67 @@ class Gauge {
 
 class MetricRegistry {
  public:
-  /// Find-or-create by hierarchical name. References stay valid for the
-  /// registry's lifetime (std::map nodes are stable).
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Gauge& gauge(const std::string& name) { return gauges_[name]; }
+  /// Name-sorted metrics; keys and nodes are allocated in the arena.
+  template <typename Metric>
+  using Map = std::pmr::map<std::pmr::string, Metric, std::less<>>;
 
-  bool has_counter(const std::string& name) const { return counters_.count(name) != 0; }
-  std::uint64_t counter_value(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
+  /// Find-or-create by hierarchical name. References stay valid for the
+  /// registry's lifetime (map nodes are stable, and the arena never
+  /// frees one before the registry goes).
+  Counter& counter(std::string_view name) { return find_or_add(store_->counters, name); }
+  Gauge& gauge(std::string_view name) { return find_or_add(store_->gauges, name); }
+
+  bool has_counter(std::string_view name) const { return store_->counters.contains(name); }
+  std::uint64_t counter_value(std::string_view name) const {
+    auto it = store_->counters.find(name);
+    return it == store_->counters.end() ? 0 : it->second.value();
   }
-  double gauge_max(const std::string& name) const {
-    auto it = gauges_.find(name);
-    return it == gauges_.end() ? 0.0 : it->second.max();
+  double gauge_max(std::string_view name) const {
+    auto it = store_->gauges.find(name);
+    return it == store_->gauges.end() ? 0.0 : it->second.max();
   }
 
   // --- per-phase time attribution -----------------------------------
   // charge_phase() is the hot push-path hook: hardware models call it
   // (through Engine::charge_phase, guarded on null) whenever they book
-  // busy time on a serial/pipelined resource. Accumulated per phase and
-  // per (phase, node) so benches can print both the global LogP split
-  // and a per-endpoint breakdown.
+  // busy time on a serial/pipelined resource. Accumulated per phase, for
+  // the global LogP split.
 
-  void charge_phase(Phase phase, int node, Time duration) {
+  void charge_phase(Phase phase, Time duration) {
     phase_total_[static_cast<std::size_t>(phase)] += duration;
-    phase_by_node_[{static_cast<std::uint8_t>(phase), node}] += duration;
   }
-
   Time phase_time(Phase phase) const { return phase_total_[static_cast<std::size_t>(phase)]; }
-  Time phase_time(Phase phase, int node) const {
-    auto it = phase_by_node_.find({static_cast<std::uint8_t>(phase), node});
-    return it == phase_by_node_.end() ? 0 : it->second;
-  }
-  void reset_phases() {
-    phase_total_[0] = phase_total_[1] = phase_total_[2] = 0;
-    phase_by_node_.clear();
-  }
+  void reset_phases() { phase_total_[0] = phase_total_[1] = phase_total_[2] = 0; }
 
-  // --- timestamped counter-track samples ----------------------------
-  // Sparse (time, value) series for Chrome-trace "C" events: queue
-  // depths, link utilization over time. Push-path, guarded like
-  // charge_phase.
+  // --- iteration -----------------------------------------------------
 
-  struct Sample {
-    Time at;
-    std::string track;
-    double value;
-  };
-
-  void sample(Time at, const std::string& track, double value) {
-    samples_.push_back(Sample{at, track, value});
-  }
-  const std::vector<Sample>& samples() const { return samples_; }
-
-  // --- dump / iteration ---------------------------------------------
-
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Gauge>& gauges() const { return gauges_; }
+  const Map<Counter>& counters() const { return store_->counters; }
+  const Map<Gauge>& gauges() const { return store_->gauges; }
 
   /// Flat sorted (name, value) view of everything — counters, gauge
   /// high-water marks, and phase totals in microseconds — for reports.
   std::vector<std::pair<std::string, double>> snapshot() const;
 
-  /// Human-readable dump, one "name value" line per metric.
-  void dump(std::FILE* out) const;
-
-  void clear() {
-    counters_.clear();
-    gauges_.clear();
-    samples_.clear();
-    reset_phases();
-  }
+  void clear() { *this = MetricRegistry(); }
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
+  /// The maps and the arena they allocate from, held through one
+  /// pointer so the registry moves without rebinding an allocator.
+  struct Store {
+    std::pmr::monotonic_buffer_resource arena;
+    Map<Counter> counters{&arena};
+    Map<Gauge> gauges{&arena};
+  };
+
+  template <typename Metric>
+  static Metric& find_or_add(Map<Metric>& map, std::string_view name) {
+    auto it = map.find(name);
+    if (it == map.end()) it = map.emplace(name, Metric{}).first;
+    return it->second;
+  }
+
+  std::unique_ptr<Store> store_ = std::make_unique<Store>();
   Time phase_total_[3] = {0, 0, 0};
-  std::map<std::pair<std::uint8_t, int>, Time> phase_by_node_;
-  std::vector<Sample> samples_;
 };
 
 }  // namespace fabsim

@@ -26,8 +26,7 @@ std::string format_ts(Time at) {
 
 }  // namespace
 
-std::string chrome_trace_json(const Tracer& tracer, const MetricRegistry* metrics,
-                              const Profiler* profiler) {
+std::string chrome_trace_json(const Tracer& tracer, const Profiler* profiler) {
   std::string out = "{\n\"traceEvents\": [\n";
   bool first = true;
 
@@ -54,18 +53,6 @@ std::string chrome_trace_json(const Tracer& tracer, const MetricRegistry* metric
     event += buf;
     event += "\"ts\": " + format_ts(entry.at) + "}";
     append_event(out, first, event);
-  }
-
-  if (metrics != nullptr) {
-    for (const MetricRegistry::Sample& sample : metrics->samples()) {
-      char buf[64];
-      std::string event = "{\"name\": \"" + minijson::escape(sample.track) +
-                          "\", \"ph\": \"C\", \"pid\": 0, \"ts\": " + format_ts(sample.at) +
-                          ", \"args\": {\"value\": ";
-      std::snprintf(buf, sizeof(buf), "%.6f}}", sample.value);
-      event += buf;
-      append_event(out, first, event);
-    }
   }
 
   if (profiler != nullptr && !profiler->slices().empty()) {
@@ -105,10 +92,10 @@ std::string chrome_trace_json(const Tracer& tracer, const MetricRegistry* metric
 }
 
 bool write_chrome_trace(const std::string& path, const Tracer& tracer,
-                        const MetricRegistry* metrics, const Profiler* profiler) {
+                        const Profiler* profiler) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  const std::string doc = chrome_trace_json(tracer, metrics, profiler);
+  const std::string doc = chrome_trace_json(tracer, profiler);
   const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
   return std::fclose(f) == 0 && ok;
 }

@@ -11,6 +11,7 @@
 #include "core/cluster.hpp"
 #include "explore/explorer.hpp"
 #include "explore/scenarios.hpp"
+#include "fault/plan.hpp"
 #include "sim/engine.hpp"
 #include "sim/schedule.hpp"
 

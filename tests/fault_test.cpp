@@ -813,8 +813,8 @@ TEST(FabricFaults, LeakedCreditOnDrainIsCaughtByFabricCheck) {
 // ---------------------------------------------------------------------------
 
 TEST(IwarpFaults, EngineInjectorDrivesGoBackN) {
-  // No adapter-local loss_rate: every drop comes from the engine-level
-  // plan, and the RNIC must still arm its retry timers (faults_armed).
+  // Every drop comes from the engine-level plan, and the RNIC must arm
+  // its retry timers for it (faults_armed).
   core::Cluster cluster(2, core::Network::kIwarp);
   FaultPlan plan(11);
   plan.drop_probability(0.05);

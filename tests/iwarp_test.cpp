@@ -5,6 +5,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "fault/plan.hpp"
 #include "hw/fabric.hpp"
 #include "hw/node.hpp"
 #include "iwarp/rnic.hpp"
@@ -238,9 +239,11 @@ TEST(IwarpProtection, UnregisteredLkeyThrows) {
 
 TEST(IwarpReliability, RecoversFromLossWithGoBackN) {
   RnicConfig config;
-  config.loss_rate = 0.02;
   config.rto = us(200);
   World w(config);
+  fault::FaultPlan plan;
+  plan.drop_probability(0.02);
+  w.engine.set_fault_injector(&plan);
   const std::uint32_t len = 512 * 1024;
   auto& src = w.node0.mem().alloc(len);
   auto& dst = w.node1.mem().alloc(len);

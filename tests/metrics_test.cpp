@@ -36,32 +36,19 @@ TEST(MetricRegistry, GaugeTracksHighWaterMark) {
 
 TEST(MetricRegistry, PhaseAttributionPerNodeAndTotal) {
   MetricRegistry r;
-  r.charge_phase(Phase::kHost, 0, us(10));
-  r.charge_phase(Phase::kHost, 1, us(5));
-  r.charge_phase(Phase::kNic, 0, us(7));
-  r.charge_phase(Phase::kWire, 0, us(3));
-  r.charge_phase(Phase::kWire, 0, us(3));
+  r.charge_phase(Phase::kHost, us(10));
+  r.charge_phase(Phase::kHost, us(5));
+  r.charge_phase(Phase::kNic, us(7));
+  r.charge_phase(Phase::kWire, us(3));
+  r.charge_phase(Phase::kWire, us(3));
 
   EXPECT_EQ(r.phase_time(Phase::kHost), us(15));
-  EXPECT_EQ(r.phase_time(Phase::kHost, 0), us(10));
-  EXPECT_EQ(r.phase_time(Phase::kHost, 1), us(5));
-  EXPECT_EQ(r.phase_time(Phase::kHost, 2), Time{0}) << "uncharged node reads as 0";
   EXPECT_EQ(r.phase_time(Phase::kNic), us(7));
   EXPECT_EQ(r.phase_time(Phase::kWire), us(6)) << "charges accumulate";
 
   r.reset_phases();
   EXPECT_EQ(r.phase_time(Phase::kHost), Time{0});
-  EXPECT_EQ(r.phase_time(Phase::kWire, 0), Time{0});
-}
-
-TEST(MetricRegistry, TimestampedSamples) {
-  MetricRegistry r;
-  r.sample(us(1), "queue_depth", 3.0);
-  r.sample(us(2), "queue_depth", 5.0);
-  ASSERT_EQ(r.samples().size(), 2u);
-  EXPECT_EQ(r.samples()[0].track, "queue_depth");
-  EXPECT_EQ(r.samples()[1].at, us(2));
-  EXPECT_EQ(r.samples()[1].value, 5.0);
+  EXPECT_EQ(r.phase_time(Phase::kWire), Time{0});
 }
 
 TEST(MetricRegistry, SnapshotNamingAndOrder) {
@@ -69,7 +56,7 @@ TEST(MetricRegistry, SnapshotNamingAndOrder) {
   r.counter("z.count").add(4);
   r.counter("a.count").add(1);
   r.gauge("depth").set(6.5);
-  r.charge_phase(Phase::kNic, 0, us(12));
+  r.charge_phase(Phase::kNic, us(12));
 
   const auto snap = r.snapshot();
   // Sorted flat view: counters verbatim, gauges as "<name>.max", charged
@@ -85,25 +72,20 @@ TEST(MetricRegistry, SnapshotNamingAndOrder) {
 
   r.clear();
   EXPECT_TRUE(r.snapshot().empty());
-  EXPECT_TRUE(r.samples().empty());
 }
 
 TEST(MetricRegistry, EngineGuardsWhenDetached) {
   Engine engine;
   EXPECT_EQ(engine.metrics(), nullptr);
-  engine.charge_phase(Phase::kHost, 0, us(1));  // must be a no-op, not a crash
-  engine.metric_sample("track", 1.0);
+  engine.charge_phase(Phase::kHost, us(1));  // must be a no-op, not a crash
 }
 
 TEST(MetricRegistry, EngineForwardsWhenAttached) {
   Engine engine;
   MetricRegistry r;
   engine.set_metrics(&r);
-  engine.charge_phase(Phase::kWire, 3, us(4));
-  engine.metric_sample("util", 0.5);
-  EXPECT_EQ(r.phase_time(Phase::kWire, 3), us(4));
-  ASSERT_EQ(r.samples().size(), 1u);
-  EXPECT_EQ(r.samples()[0].track, "util");
+  engine.charge_phase(Phase::kWire, us(4));
+  EXPECT_EQ(r.phase_time(Phase::kWire), us(4));
 }
 
 // One MPI message over each stack, then assert collect_metrics()

@@ -228,22 +228,19 @@ TEST(Prof, AllocDeltaCountsOnlyTheAttachWindows) {
 
 TEST(Prof, ChromeTraceHostLanesRoundTripThroughMinijson) {
   Tracer tracer;
-  MetricRegistry registry;
   Profiler profiler(Profiler::Config{.sample_stride = 1});
   Engine engine;
   engine.set_tracer(&tracer);
-  engine.set_metrics(&registry);
   engine.set_profiler(&profiler);
   for (int i = 0; i < 10; ++i) {
     engine.post(us(static_cast<double>(i)), /*scope=*/i % 2, [&engine, i] {
       engine.trace(TraceCategory::kHost, i % 2, "evt" + std::to_string(i));
-      engine.metric_sample("depth", static_cast<double>(i));
     });
   }
   engine.run();
   ASSERT_GT(profiler.slices().size(), 0u);
 
-  const std::string doc = chrome_trace_json(tracer, &registry, &profiler);
+  const std::string doc = chrome_trace_json(tracer, &profiler);
   const minijson::Value root = minijson::parse(doc);
   const minijson::Array& events = root.at("traceEvents").as_array();
 

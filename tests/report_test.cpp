@@ -42,7 +42,7 @@ Report sample_report() {
   MetricRegistry registry;
   registry.counter("iwarp.node0.retransmits").add(3);
   registry.gauge("mx.node0.posted_depth").set(5.0);
-  registry.charge_phase(Phase::kWire, 0, us(42));
+  registry.charge_phase(Phase::kWire, us(42));
   report.add_metrics(registry, "probe.");
   return report;
 }

@@ -1,6 +1,7 @@
 // iWARP TCP reliability property suite: parameterized loss-rate x seed
-// sweep. Whatever the fabric drops, the byte stream delivered to user
-// memory must be exact, and progress must never wedge.
+// sweep, each seed driving an engine-attached FaultPlan. Whatever the
+// fabric drops, the byte stream delivered to user memory must be exact,
+// and progress must never wedge.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -8,9 +9,28 @@
 #include <vector>
 
 #include "core/cluster.hpp"
+#include "fault/plan.hpp"
 
 namespace fabsim::core {
 namespace {
+
+/// Forwards every frame to `plan` and counts the drops of frames that
+/// node 0 sent.
+class Node0Drops final : public fault::FaultInjector {
+ public:
+  explicit Node0Drops(fault::FaultPlan& plan) : plan_(plan) {}
+  fault::FaultDecision on_frame(const fault::FaultSite& site) override {
+    const fault::FaultDecision decision = plan_.on_frame(site);
+    if (decision.action == fault::FaultAction::kDrop && site.src_node == 0) ++count_;
+    return decision;
+  }
+  bool active() const override { return plan_.active(); }
+  std::uint64_t count() const { return count_; }
+
+ private:
+  fault::FaultPlan& plan_;
+  std::uint64_t count_ = 0;
+};
 
 class LossSweep : public ::testing::TestWithParam<std::tuple<double, std::uint64_t>> {};
 
@@ -27,10 +47,12 @@ INSTANTIATE_TEST_SUITE_P(Grid, LossSweep,
 TEST_P(LossSweep, RdmaWriteSurvivesLoss) {
   const auto [loss, seed] = GetParam();
   NetworkProfile p = iwarp_profile();
-  p.rnic.loss_rate = loss;
   p.rnic.rto = us(250);
-  p.rnic.rng_seed = seed;
   Cluster cluster(2, p);
+  fault::FaultPlan plan(seed);
+  plan.drop_probability(loss);
+  Node0Drops node0_drops(plan);
+  cluster.engine().set_fault_injector(&node0_drops);
 
   verbs::CompletionQueue cq0(cluster.engine()), cq1(cluster.engine());
   auto qp0 = cluster.device(0).create_qp(cq0, cq0);
@@ -63,18 +85,19 @@ TEST_P(LossSweep, RdmaWriteSurvivesLoss) {
   ASSERT_EQ(cluster.engine().live_processes(), 0u) << "transfer wedged under loss";
   auto view = cluster.node(1).mem().window(dst.addr(), len);
   EXPECT_EQ(std::memcmp(view.data(), payload.data(), len), 0);
-  if (loss >= 0.01) {
-    EXPECT_GT(cluster.rnic(0).retransmits(), 0u) << "loss this high must trigger go-back-N";
+  if (node0_drops.count() > 0) {
+    EXPECT_GT(cluster.rnic(0).retransmits(), 0u) << "a dropped data segment must be resent";
   }
 }
 
 TEST_P(LossSweep, SendRecvSurvivesLoss) {
   const auto [loss, seed] = GetParam();
   NetworkProfile p = iwarp_profile();
-  p.rnic.loss_rate = loss;
   p.rnic.rto = us(250);
-  p.rnic.rng_seed = seed + 7;
   Cluster cluster(2, p);
+  fault::FaultPlan plan(seed + 7);
+  plan.drop_probability(loss);
+  cluster.engine().set_fault_injector(&plan);
 
   verbs::CompletionQueue cq0(cluster.engine()), cq1(cluster.engine());
   auto qp0 = cluster.device(0).create_qp(cq0, cq0);
@@ -113,9 +136,11 @@ TEST_P(LossSweep, SendRecvSurvivesLoss) {
 TEST(TcpLoss, ThroughputDegradesMonotonically) {
   auto goodput = [](double loss) {
     NetworkProfile p = iwarp_profile();
-    p.rnic.loss_rate = loss;
     p.rnic.rto = us(250);
     Cluster cluster(2, p);
+    fault::FaultPlan plan;
+    plan.drop_probability(loss);
+    cluster.engine().set_fault_injector(&plan);
     verbs::CompletionQueue cq0(cluster.engine()), cq1(cluster.engine());
     auto qp0 = cluster.device(0).create_qp(cq0, cq0);
     auto qp1 = cluster.device(1).create_qp(cq1, cq1);

@@ -1,5 +1,5 @@
 // Chrome-trace export validated end to end: a small fig3-style MPI
-// ping-pong run on iWARP with tracer + metrics attached, exported with
+// ping-pong run on iWARP with the tracer attached, exported with
 // chrome_trace_json(), then parsed back through sim/json.hpp and checked
 // against the Trace Event Format contract (what chrome://tracing and
 // Perfetto actually require).
@@ -12,18 +12,16 @@
 
 #include "core/cluster.hpp"
 #include "sim/json.hpp"
-#include "sim/metrics.hpp"
 #include "sim/trace.hpp"
 #include "sim/trace_export.hpp"
 
 namespace fabsim {
 namespace {
 
-// One ping-pong iteration at fig3's probe size, observability attached.
-void run_fig3_style(Tracer& tracer, MetricRegistry& metrics) {
+// One ping-pong iteration at fig3's probe size, tracer attached.
+void run_fig3_style(Tracer& tracer) {
   core::Cluster cluster(2, core::Network::kIwarp);
   cluster.engine().set_tracer(&tracer);
-  cluster.engine().set_metrics(&metrics);
   const std::uint32_t len = 1024;
   auto& b0 = cluster.node(0).mem().alloc(len, false);
   auto& b1 = cluster.node(1).mem().alloc(len, false);
@@ -42,11 +40,10 @@ void run_fig3_style(Tracer& tracer, MetricRegistry& metrics) {
 
 TEST(TraceExport, Fig3RunProducesValidChromeTrace) {
   Tracer tracer;
-  MetricRegistry metrics;
-  run_fig3_style(tracer, metrics);
+  run_fig3_style(tracer);
   ASSERT_GT(tracer.entries().size(), 0u) << "the run must have emitted events";
 
-  const std::string text = chrome_trace_json(tracer, &metrics);
+  const std::string text = chrome_trace_json(tracer);
   minijson::Value doc = minijson::parse(text);  // throws on malformed JSON
 
   ASSERT_TRUE(doc.is_object());
@@ -76,37 +73,13 @@ TEST(TraceExport, Fig3RunProducesValidChromeTrace) {
       EXPECT_TRUE(e.has("tid"));
       EXPECT_FALSE(e.at("name").as_string().empty());
     } else {
-      EXPECT_EQ(ph, "C") << "only metadata, instant and counter events are emitted";
+      ADD_FAILURE() << "only metadata and instant events are emitted, not " << ph;
     }
   }
   EXPECT_EQ(instants, tracer.entries().size()) << "every trace entry exports";
   // Both simulated nodes appear as named processes.
   EXPECT_TRUE(named_pids.count(0.0));
   EXPECT_TRUE(named_pids.count(1.0));
-}
-
-TEST(TraceExport, CounterSamplesBecomeCounterEvents) {
-  Tracer tracer;
-  tracer.emit(us(1), TraceCategory::kHost, 0, "tick");
-  MetricRegistry metrics;
-  metrics.sample(us(2), "queue_depth", 3.0);
-  metrics.sample(us(5), "queue_depth", 7.0);
-
-  minijson::Value doc = minijson::parse(chrome_trace_json(tracer, &metrics));
-  std::size_t counters = 0;
-  for (const minijson::Value& e : doc.at("traceEvents").as_array()) {
-    if (e.at("ph").as_string() != "C") continue;
-    ++counters;
-    EXPECT_EQ(e.at("name").as_string(), "queue_depth");
-    EXPECT_TRUE(e.has("args"));
-  }
-  EXPECT_EQ(counters, 2u);
-
-  // Without a registry the counter events simply don't appear.
-  minijson::Value bare = minijson::parse(chrome_trace_json(tracer));
-  for (const minijson::Value& e : bare.at("traceEvents").as_array()) {
-    EXPECT_NE(e.at("ph").as_string(), "C");
-  }
 }
 
 TEST(TraceExport, LabelsAreEscaped) {
@@ -125,12 +98,11 @@ TEST(TraceExport, LabelsAreEscaped) {
 
 TEST(TraceExport, WriteChromeTraceCreatesParseableFile) {
   Tracer tracer;
-  MetricRegistry metrics;
-  run_fig3_style(tracer, metrics);
+  run_fig3_style(tracer);
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "fabsim_trace_export_test.json").string();
-  ASSERT_TRUE(write_chrome_trace(path, tracer, &metrics));
+  ASSERT_TRUE(write_chrome_trace(path, tracer));
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::string text;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cluster.hpp"
+#include "fault/plan.hpp"
 #include "sim/trace.hpp"
 
 namespace fabsim {
@@ -167,9 +168,11 @@ TEST(Tracer, RendezvousEmitsProtocolSequence) {
 
 TEST(Tracer, LossInjectionEmitsRetransmits) {
   core::NetworkProfile p = core::iwarp_profile();
-  p.rnic.loss_rate = 0.05;
   p.rnic.rto = us(200);
   core::Cluster cluster(2, p);
+  fault::FaultPlan plan;
+  plan.drop_probability(0.05);
+  cluster.engine().set_fault_injector(&plan);
   Tracer tracer;
   cluster.engine().set_tracer(&tracer);
   const std::uint32_t len = 256 * 1024;
