@@ -44,9 +44,12 @@ done
 
 failed=()
 
-# The compile database clang-tidy wants; the default preset writes build/.
+# The compile database clang-tidy wants. build/ is written by
+# `cmake -B build -S .` (Unix Makefiles) or by the default preset (Ninja);
+# naming no generator reconfigures it in whichever one it already uses,
+# and both export compile_commands.json.
 if [[ ! -f build/compile_commands.json ]]; then
-  cmake -B build -G Ninja -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
+  cmake -B build -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 fi
 
 # missing <tool>: skip notice normally, hard failure under --strict.

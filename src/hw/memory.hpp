@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -21,33 +20,50 @@
 
 namespace fabsim::hw {
 
-/// A buffer's bytes start zeroed. They come from calloc, so memory fresh
-/// from the kernel needs no memset and its pages are touched only where
-/// the simulation writes: a large buffer (an MPI eager ring) then costs
-/// about the same whether or not the allocator returned earlier buffers
-/// to the kernel.
+/// A buffer's bytes read as zero until written, but host work on them is
+/// paid only for the pages the simulation touches: the bytes come from
+/// malloc, and each 4 KB page (counted from the buffer's start) is zeroed
+/// the first time any accessor covers it. A large buffer the simulation
+/// barely touches, such as an MPI eager ring of which each message uses
+/// one slot, then costs only the pages it uses. Ask for a range rather
+/// than bytes(), which zeroes the whole buffer. The const accessors zero
+/// too, through mutable state: a Buffer is confined to one engine's
+/// thread like the rest of its node.
 class Buffer {
  public:
+  static constexpr std::uint64_t kPageSize = 4096;
+
   Buffer(std::uint64_t addr, std::uint64_t size, bool with_data);
 
   std::uint64_t addr() const { return addr_; }
   std::uint64_t size() const { return size_; }
   bool has_data() const { return data_ != nullptr; }
-  std::span<std::byte> bytes() { return {data_.get(), has_data() ? size_ : 0}; }
-  std::span<const std::byte> bytes() const { return {data_.get(), has_data() ? size_ : 0}; }
+  /// Every byte; empty for a size-only buffer.
+  std::span<std::byte> bytes() { return has_data() ? range(0, size_) : std::span<std::byte>{}; }
+  std::span<const std::byte> bytes() const {
+    return has_data() ? range(0, size_) : std::span<const std::byte>{};
+  }
+  /// Bytes [offset, offset+len) of a data-carrying buffer. Throws
+  /// std::out_of_range past the end, std::logic_error on a size-only one.
+  std::span<std::byte> range(std::uint64_t offset, std::uint64_t len);
+  std::span<const std::byte> range(std::uint64_t offset, std::uint64_t len) const;
 
  private:
   struct FreeBytes {
     void operator()(std::byte* bytes) const { std::free(bytes); }
   };
 
+  /// Zero the pages of [offset, offset+len) no accessor has covered yet.
+  void touch(std::uint64_t offset, std::uint64_t len) const;
+
   std::uint64_t addr_;
   std::uint64_t size_;
   std::unique_ptr<std::byte[], FreeBytes> data_;
+  mutable std::vector<std::uint64_t> touched_;  ///< one bit per page, set once zeroed
 };
 
-/// Per-node virtual address space: a bump allocator over fake addresses
-/// with an interval map for placement lookups.
+/// Per-node virtual address space: a bump allocator over fake addresses,
+/// so its buffers stay sorted by address for placement lookups.
 class AddressSpace {
  public:
   /// Allocate a buffer. `with_data` buffers carry real bytes.
@@ -67,11 +83,15 @@ class AddressSpace {
   /// Copy of [addr, addr+len) to carry as a wire payload: null when the
   /// covering buffer is size-only. Throws std::out_of_range when the
   /// range lies outside any buffer.
-  std::shared_ptr<std::vector<std::byte>> snapshot(std::uint64_t addr, std::uint64_t len);
+  std::shared_ptr<const std::vector<std::byte>> snapshot(std::uint64_t addr, std::uint64_t len);
 
  private:
+  /// The buffer covering all of [addr, addr+len); throws std::out_of_range
+  /// naming `what` otherwise.
+  Buffer& covering(std::uint64_t addr, std::uint64_t len, const char* what);
+
   std::uint64_t next_addr_ = 0x1000;
-  std::map<std::uint64_t, std::unique_ptr<Buffer>> buffers_;  // keyed by start address
+  std::vector<std::unique_ptr<Buffer>> buffers_;  ///< ascending start address
 };
 
 struct RegistrationConfig {
@@ -91,7 +111,7 @@ class MemoryRegistry {
   explicit MemoryRegistry(RegistrationConfig config = {}) : config_(config) {}
 
   struct Region {
-    Key key;
+    Key key;  ///< 0 once deregistered
     std::uint64_t addr;
     std::uint64_t len;
   };
@@ -113,13 +133,12 @@ class MemoryRegistry {
     return config_.deregister_base + config_.deregister_per_page * pages(len);
   }
 
-  std::size_t active_regions() const { return regions_.size(); }
   const RegistrationConfig& config() const { return config_; }
 
  private:
   RegistrationConfig config_;
-  Key next_key_ = 1;
-  std::map<Key, Region> regions_;
+  /// Keys are handed out in sequence, so key k lives at regions_[k - 1].
+  std::vector<Region> regions_;
 };
 
 }  // namespace fabsim::hw

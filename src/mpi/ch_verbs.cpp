@@ -88,14 +88,14 @@ int ChVerbs::wr_peer(std::uint64_t wr_id) {
 std::uint64_t ChVerbs::wr_low(std::uint64_t wr_id) { return wr_id & 0xffffffffull; }
 
 void ChVerbs::write_envelope(hw::Buffer& arena, std::uint32_t slot, const Envelope& env) {
-  auto view = arena.bytes().subspan(static_cast<std::size_t>(slot) * slot_size(), kEnvBytes);
+  auto view = arena.range(static_cast<std::uint64_t>(slot) * slot_size(), kEnvBytes);
   static_assert(sizeof(Envelope) <= kEnvBytes);
   std::memcpy(view.data(), &env, sizeof(Envelope));
 }
 
 ChVerbs::Envelope ChVerbs::read_envelope(const hw::Buffer& arena, std::uint32_t slot) const {
   Envelope env;
-  auto view = arena.bytes().subspan(static_cast<std::size_t>(slot) * slot_size(), kEnvBytes);
+  auto view = arena.range(static_cast<std::uint64_t>(slot) * slot_size(), kEnvBytes);
   std::memcpy(&env, view.data(), sizeof(Envelope));
   return env;
 }
@@ -108,8 +108,8 @@ void ChVerbs::copy_payload_in(Peer& peer, std::uint32_t slot, std::uint64_t src_
   }
   if (!src->has_data() || len == 0) return;
   auto from = node_->mem().window(src_addr, len);
-  auto to = peer.send_arena->bytes().subspan(
-      static_cast<std::size_t>(slot) * slot_size() + kEnvBytes, len);
+  auto to =
+      peer.send_arena->range(static_cast<std::uint64_t>(slot) * slot_size() + kEnvBytes, len);
   std::memcpy(to.data(), from.data(), len);
 }
 
@@ -120,8 +120,8 @@ void ChVerbs::copy_payload_out(const Peer& peer, std::uint32_t slot, std::uint64
     throw std::out_of_range("mpi: receive buffer outside any allocation");
   }
   if (!dst->has_data() || len == 0) return;
-  auto from = peer.recv_arena->bytes().subspan(
-      static_cast<std::size_t>(slot) * slot_size() + kEnvBytes, len);
+  auto from =
+      peer.recv_arena->range(static_cast<std::uint64_t>(slot) * slot_size() + kEnvBytes, len);
   node_->mem().write(dst_addr, from);
 }
 

@@ -119,7 +119,7 @@ class ChVerbs final : public Channel {
     int peer;
     /// Eager payloads are copied out of the ring into host memory when
     /// they are found unexpected (MPICH behaviour), so no slot is held.
-    std::shared_ptr<std::vector<std::byte>> data;
+    std::shared_ptr<const std::vector<std::byte>> data;
   };
 
   struct RndvSend {

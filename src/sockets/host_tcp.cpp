@@ -1,6 +1,7 @@
 #include "sockets/host_tcp.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 namespace fabsim::sockets {
@@ -45,7 +46,7 @@ Task<> HostTcp::send_impl(int conn_id, std::uint64_t addr, std::uint32_t len) {
   co_await node_->cpu().copy(addr, len);
 
   // Grab the payload bytes (if the buffer carries data).
-  const std::shared_ptr<std::vector<std::byte>> data = node_->mem().snapshot(addr, len);
+  const std::shared_ptr<const std::vector<std::byte>> data = node_->mem().snapshot(addr, len);
 
   // Kernel transmit path: per-segment stack work on this CPU, then the
   // NIC serializes each frame onto the wire.
@@ -57,11 +58,9 @@ Task<> HostTcp::send_impl(int conn_id, std::uint64_t addr, std::uint32_t len) {
         stack_done, fabric_->config().link_rate.bytes_time(chunk + config_.seg_overhead));
     Segment segment;
     segment.dst_conn_id = conn.peer_conn_id;
+    segment.offset = offset;
     segment.payload_len = chunk;
-    if (data != nullptr) {
-      segment.data = std::make_shared<std::vector<std::byte>>(data->begin() + offset,
-                                                              data->begin() + offset + chunk);
-    }
+    segment.data = data;
     ++segments_sent_;
     const std::uint32_t wire = chunk + config_.seg_overhead;
     Conn* c = &conn;
@@ -93,8 +92,9 @@ void HostTcp::deliver(hw::Frame frame) {
   engine().post(processed, /*scope=*/port_, [this, conn_id, segment = std::move(segment)]() mutable {
     Conn& c = *conns_.at(static_cast<std::size_t>(conn_id));
     if (segment.data != nullptr) {
+      const auto bytes = std::span(*segment.data).subspan(segment.offset, segment.payload_len);
       // HOT-OK(socket receive ring append, bounded by the receive window)
-      c.rx_buffer.insert(c.rx_buffer.end(), segment.data->begin(), segment.data->end());
+      c.rx_buffer.insert(c.rx_buffer.end(), bytes.begin(), bytes.end());
     }
     c.rx_bytes_total += segment.payload_len;
     c.readable->notify_all();

@@ -80,9 +80,11 @@ class HostTcp final : public hw::FrameSink {
 
   struct Segment {
     int dst_conn_id = -1;
-    std::uint64_t seq = 0;
+    std::uint32_t offset = 0;  ///< of this segment's bytes in the send call's payload
     std::uint32_t payload_len = 0;
-    std::shared_ptr<std::vector<std::byte>> data;
+    /// The send call's snapshot, shared by all of its segments; null for a
+    /// size-only source.
+    std::shared_ptr<const std::vector<std::byte>> data;
   };
 
   struct Conn {

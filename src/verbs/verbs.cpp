@@ -52,11 +52,7 @@ MsgHeader chunk_header(const Message& msg, std::uint64_t msg_id, std::uint32_t o
   } else if (msg.kind == MsgKind::kReadRequest) {
     chunk.place_addr = msg.remote_addr;  // remote source
   }
-  if (msg.data != nullptr) {
-    // HOT-OK(per-chunk wire payload buffer; stack-level state outside the engine's tracked zero-alloc contract)
-    chunk.data = std::make_shared<std::vector<std::byte>>(msg.data->begin() + offset,
-                                                          msg.data->begin() + offset + len);
-  }
+  chunk.data = msg.data;
   return chunk;
 }
 
@@ -240,7 +236,7 @@ RxMsg* Device::place(Conn& conn, const MsgHeader& chunk) {
   }
 
   if (chunk.data != nullptr) {
-    node_->mem().write(addr, *chunk.data);
+    node_->mem().write(addr, chunk.payload());
   } else if (hw::Buffer* buffer = node_->mem().find(addr);
              buffer == nullptr || addr + chunk.payload_len > buffer->addr() + buffer->size()) {
     // HOT-OK(protocol-violation guard; unreachable in a conforming run)

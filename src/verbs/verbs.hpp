@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "hw/cpu.hpp"
@@ -126,7 +127,7 @@ struct Message {
   std::uint64_t read_sink_addr = 0;  ///< requester-side sink (read only)
   MrKey read_sink_key = 0;
   std::uint32_t read_len = 0;
-  std::shared_ptr<std::vector<std::byte>> data;  ///< source snapshot, optional
+  std::shared_ptr<const std::vector<std::byte>> data;  ///< source snapshot, optional
 };
 
 /// The message fields every wire unit carries (an iWARP DDP segment, an
@@ -148,7 +149,14 @@ struct MsgHeader {
   std::uint64_t read_sink_addr = 0;
   MrKey read_sink_key = 0;
   std::uint32_t read_len = 0;
-  std::shared_ptr<std::vector<std::byte>> data;  ///< payload slice, optional
+  /// The whole message's source snapshot, shared by all of its chunks;
+  /// null for a size-only source.
+  std::shared_ptr<const std::vector<std::byte>> data;
+
+  /// This chunk's bytes: [msg_offset, msg_offset+payload_len) of `data`.
+  std::span<const std::byte> payload() const {
+    return std::span(*data).subspan(msg_offset, payload_len);
+  }
 
   /// True for the last chunk of a signaled Send or RDMA Write: the chunk
   /// whose delivery completes the work request on the send CQ.

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "hw/cpu.hpp"
@@ -246,7 +248,11 @@ TEST(AddressSpace, SizeOnlyBufferAcceptsWrites) {
   std::vector<std::byte> payload(4096);
   mem.write(buffer.addr(), payload);  // no throw, no storage
   EXPECT_FALSE(buffer.has_data());
+  EXPECT_TRUE(buffer.bytes().empty());
+  EXPECT_TRUE(std::as_const(buffer).bytes().empty());
+  EXPECT_THROW(buffer.range(0, 16), std::logic_error);
   EXPECT_THROW(mem.window(buffer.addr(), 16), std::logic_error);
+  EXPECT_EQ(mem.snapshot(buffer.addr(), 16), nullptr);
 }
 
 TEST(AddressSpace, FindByInteriorAddress) {
@@ -254,6 +260,76 @@ TEST(AddressSpace, FindByInteriorAddress) {
   Buffer& buffer = mem.alloc(4096);
   EXPECT_EQ(mem.find(buffer.addr() + 4095), &buffer);
   EXPECT_EQ(mem.find(buffer.addr() + 4096), nullptr);
+}
+
+TEST(AddressSpace, FindReturnsNullForFreedBuffer) {
+  AddressSpace mem;
+  Buffer& a = mem.alloc(100);
+  Buffer& b = mem.alloc(5000);
+  Buffer& c = mem.alloc(100);
+  const std::uint64_t b_addr = b.addr();
+  mem.free(b);
+  EXPECT_EQ(mem.find(b_addr), nullptr);
+  EXPECT_EQ(mem.find(b_addr + 4999), nullptr);
+  EXPECT_THROW(mem.window(b_addr, 16), std::out_of_range);
+  EXPECT_EQ(mem.find(a.addr() + 99), &a);
+  EXPECT_EQ(mem.find(c.addr()), &c);
+  Buffer& d = mem.alloc(100);
+  EXPECT_GT(d.addr(), c.addr()) << "addresses are never reused";
+  EXPECT_EQ(mem.find(d.addr()), &d);
+}
+
+/// A data buffer of `size` bytes whose heap block most likely held 0xA5
+/// bytes a moment ago: lazily zeroed pages must not show them.
+Buffer& recycled(AddressSpace& mem, std::uint64_t size) {
+  Buffer& dirty = mem.alloc(size);
+  std::memset(dirty.bytes().data(), 0xA5, size);
+  mem.free(dirty);
+  return mem.alloc(size);
+}
+
+bool all_zero(std::span<const std::byte> bytes) {
+  return std::all_of(bytes.begin(), bytes.end(), [](std::byte b) { return b == std::byte{0}; });
+}
+
+TEST(Buffer, UntouchedBytesReadZeroThroughEveryAccessor) {
+  // Three whole pages and a partial fourth.
+  constexpr std::uint64_t kSize = 3 * Buffer::kPageSize + 100;
+  AddressSpace mem;
+  {
+    Buffer& buf = recycled(mem, kSize);  // straddles the page 0/1 boundary
+    EXPECT_TRUE(all_zero(mem.window(buf.addr() + Buffer::kPageSize - 8, 16)));
+  }
+  {
+    Buffer& buf = recycled(mem, kSize);  // the last, partial page
+    EXPECT_TRUE(all_zero(std::as_const(buf).range(3 * Buffer::kPageSize, 100)));
+    EXPECT_THROW(buf.range(3 * Buffer::kPageSize, 101), std::out_of_range);
+  }
+  {
+    Buffer& buf = recycled(mem, kSize);
+    const auto copy = mem.snapshot(buf.addr() + 2 * Buffer::kPageSize - 30, 60);
+    ASSERT_NE(copy, nullptr);
+    EXPECT_TRUE(all_zero(*copy));
+  }
+  {
+    Buffer& buf = recycled(mem, kSize);
+    // A partial write into an untouched page leaves the rest of it zero.
+    const std::vector<std::byte> ones(16, std::byte{0xFF});
+    mem.write(buf.addr() + Buffer::kPageSize + 100, ones);
+    const auto page = buf.range(Buffer::kPageSize, Buffer::kPageSize);
+    EXPECT_TRUE(all_zero(page.first(100)));
+    EXPECT_TRUE(std::equal(ones.begin(), ones.end(), page.begin() + 100));
+    EXPECT_TRUE(all_zero(page.subspan(116)));
+    // The whole buffer, through the const accessor, is zero apart from it.
+    const auto whole = std::as_const(buf).bytes();
+    ASSERT_EQ(whole.size(), kSize);
+    EXPECT_TRUE(all_zero(whole.first(Buffer::kPageSize + 100)));
+    EXPECT_TRUE(all_zero(whole.subspan(Buffer::kPageSize + 116)));
+  }
+  {
+    Buffer& buf = recycled(mem, kSize);
+    EXPECT_TRUE(all_zero(buf.bytes()));
+  }
 }
 
 TEST(AddressSpace, DataBuffersStartZeroed) {
@@ -305,6 +381,28 @@ TEST(MemoryRegistry, RegisterLookupDeregister) {
   registry.deregister(key);
   EXPECT_EQ(registry.lookup(key), nullptr);
   EXPECT_THROW(registry.deregister(key), std::invalid_argument);
+}
+
+TEST(MemoryRegistry, RejectsADeregisteredKey) {
+  MemoryRegistry registry;
+  const auto a = registry.register_region(0x1000, 4096);
+  const auto b = registry.register_region(0x3000, 4096);
+  const auto c = registry.register_region(0x5000, 4096);
+  registry.deregister(b);
+  EXPECT_EQ(registry.lookup(b), nullptr);
+  EXPECT_FALSE(registry.covers(b, 0x3000, 16));
+  EXPECT_THROW(registry.deregister(b), std::invalid_argument);
+  // Its neighbours, and keys never handed out, are unaffected.
+  EXPECT_TRUE(registry.covers(a, 0x1000, 4096));
+  EXPECT_TRUE(registry.covers(c, 0x5000, 4096));
+  EXPECT_EQ(registry.lookup(0), nullptr);
+  EXPECT_EQ(registry.lookup(c + 1), nullptr);
+  EXPECT_THROW(registry.deregister(c + 1), std::invalid_argument);
+  // A key is never reused.
+  const auto d = registry.register_region(0x3000, 4096);
+  EXPECT_NE(d, b);
+  EXPECT_EQ(registry.lookup(b), nullptr);
+  EXPECT_TRUE(registry.covers(d, 0x3000, 16));
 }
 
 TEST(MemoryRegistry, CostModelIsPageGranular) {
