@@ -1,10 +1,10 @@
 // google-benchmark microbenchmarks of the simulation core itself:
-// event throughput, coroutine context switches, resource booking, a
-// full iWARP RDMA-write transfer, and a steady-state 16-rank MPI
-// allreduce per network as end-to-end figures of merit. This binary is
-// the only producer of host-time numbers: scripts/bench_engine.py
-// records its events_per_sec counters in the BENCH_engine.json
-// trajectory.
+// event throughput, the event queue held at a fixed depth, coroutine
+// context switches, resource booking, a full iWARP RDMA-write transfer,
+// and a steady-state 16-rank MPI allreduce per network as end-to-end
+// figures of merit. This binary is the only producer of host-time
+// numbers: scripts/bench_engine.py records its events_per_sec counters
+// in the BENCH_engine.json trajectory.
 //
 // The *Profiled variants re-run a workload with a FabricProf profiler
 // attached: the events/sec delta against the detached twin is the
@@ -12,12 +12,14 @@
 // host time and heap churn go.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "sim/engine.hpp"
 #include "sim/prof.hpp"
+#include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/sync.hpp"
 
@@ -49,6 +51,48 @@ void BM_EventQueueThroughput(benchmark::State& state) {
   report_event_rate(state, events);
 }
 BENCHMARK(BM_EventQueueThroughput);
+
+/// The classic hold model at a fixed queue depth: the queue is prefilled
+/// to state.range(0) events, and each dispatched event posts one
+/// successor, so the depth never changes. Delays are log-uniform in
+/// [2^15, 2^23) ps (33 ns to 8.4 us), the range most FabricBench posts
+/// fall in; they come from a fixed-seed Xoshiro256, drawn once into a
+/// table so the timed loop pays for the queue, not for exp2. The lanes
+/// bracket FabricBench's queues: 256 events, and 2048, past the traced
+/// peaks of 1093 (allreduce_clos) and 1511 (incast_lossy).
+void BM_EventQueueHold(benchmark::State& state) {
+  struct Hold {
+    Engine engine;
+    std::vector<Time> delays;
+    std::size_t next = 0;
+    void fire() {
+      const Time d = delays[next++ & (delays.size() - 1)];
+      engine.post(engine.now() + d, [this] { fire(); });
+    }
+  };
+  Hold hold;
+  Xoshiro256 rng(1);
+  hold.delays.resize(4096);  // a power of two: the index wraps with a mask
+  for (Time& d : hold.delays) d = static_cast<Time>(std::exp2(15.0 + 8.0 * rng.uniform()));
+  for (std::int64_t i = 0; i < state.range(0); ++i) hold.fire();
+  // Untimed: one longest delay, after which every queued event was
+  // posted by a dispatched one and the pending times are in their
+  // steady mix.
+  hold.engine.run_until(Time{1} << 23);
+
+  // Each iteration runs 2^21 ps of simulated time: about 1.4 x depth
+  // events, at the delays' mean of 1.5 us.
+  constexpr Time kWindow = Time{1} << 21;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = hold.engine.events_processed();
+    hold.engine.run_until(hold.engine.now() + kWindow);
+    events += hold.engine.events_processed() - before;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  report_event_rate(state, events);
+}
+BENCHMARK(BM_EventQueueHold)->Arg(256)->Arg(2048);
 
 void BM_CoroutineSleepChain(benchmark::State& state) {
   std::uint64_t events = 0;
@@ -93,8 +137,8 @@ BENCHMARK(BM_MailboxPingPong);
 /// BM_EventQueueThroughput with the profiler attached (1-in-16 clock
 /// sampling, no slice retention): the events/sec gap to the detached
 /// twin is the attached-profiler cost, and the prof_* counters give the
-/// hot-spot breakdown per event — host ns in dispatch, binary-heap
-/// work, and allocator traffic on the queue storage.
+/// hot-spot breakdown per event — host ns in dispatch, queue depth as
+/// binary-heap height, and allocator traffic on the queue storage.
 void BM_EventQueueThroughputProfiled(benchmark::State& state) {
   std::uint64_t events = 0;
   Profiler profiler(Profiler::Config{.sample_stride = 16, .max_slices = 0});
@@ -177,10 +221,17 @@ void BM_IwarpRdmaWrite64K(benchmark::State& state) {
 BENCHMARK(BM_IwarpRdmaWrite64K);
 
 /// Steady-state MPI allreduce: 16 ranks, 4096 doubles, 64 eager slots
-/// per peer. Cluster build, setup_mpi(), the first barrier and the
-/// cluster's destruction run outside the timed loop; each iteration is
-/// one allreduce over all ranks, and events_per_sec counts only the
-/// events those allreduces dispatch.
+/// per peer. Cluster build, setup_mpi(), the first barrier, a warm-up
+/// and the cluster's destruction run outside the timed loop; each
+/// iteration is one allreduce over all ranks, and events_per_sec counts
+/// only the events those allreduces dispatch.
+///
+/// The warm-up runs one untimed allreduce per receive slot of a verbs
+/// ring. Every allreduce sends at least one message over each ring it
+/// uses, and a ring's receives consume its slots in turn, so afterwards
+/// every slot of every ring in use has been written once: no timed
+/// allreduce meets a ring page for the first time, whose zeroing (or
+/// page fault) would otherwise dominate a short timed run.
 void BM_AllreduceSteadyState(benchmark::State& state, core::Network network) {
   constexpr int kRanks = 16;
   constexpr std::uint32_t kDoubles = 4096;
@@ -200,9 +251,7 @@ void BM_AllreduceSteadyState(benchmark::State& state, core::Network network) {
   }
   cluster.engine().run();
 
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = cluster.engine().events_processed();
+  const auto allreduce = [&] {
     for (int r = 0; r < kRanks; ++r) {
       const auto i = static_cast<std::size_t>(r);
       cluster.engine().spawn([](mpi::Rank& rank, std::uint64_t d, std::uint64_t s) -> Task<> {
@@ -210,6 +259,15 @@ void BM_AllreduceSteadyState(benchmark::State& state, core::Network network) {
       }(cluster.mpi_rank(r), data[i], scratch[i]));
     }
     cluster.engine().run();
+  };
+  // ChVerbs posts eager_buffers + 2 * control_slots receives per ring.
+  const std::size_t ring_slots = profile.mpi.eager_buffers + 2 * profile.mpi.control_slots;
+  for (std::size_t i = 0; i < ring_slots; ++i) allreduce();
+
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = cluster.engine().events_processed();
+    allreduce();
     events += cluster.engine().events_processed() - before;
   }
   state.SetItemsProcessed(state.iterations());

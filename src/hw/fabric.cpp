@@ -70,24 +70,25 @@ bool Switch::apply_faults(Frame& frame, int out_port, Time& at_switch) {
     case fault::FaultAction::kDrop:
       ++fault_drops_;
       ++ports_.at(static_cast<std::size_t>(out_port)).fault_drops;
-      engine_->trace(TraceCategory::kWire, frame.src_node,
-                     "FAULT drop " + std::to_string(frame.src_node) + "->" +
-                         std::to_string(frame.dst_node) + " " +
-                         std::to_string(frame.wire_bytes) + "B");
+      engine_->trace(TraceCategory::kWire, frame.src_node, [&] {
+        return "FAULT drop " + std::to_string(frame.src_node) + "->" +
+               std::to_string(frame.dst_node) + " " + std::to_string(frame.wire_bytes) + "B";
+      });
       return false;
     case fault::FaultAction::kCorrupt:
       ++fault_corruptions_;
-      engine_->trace(TraceCategory::kWire, frame.src_node,
-                     "FAULT corrupt " + std::to_string(frame.src_node) + "->" +
-                         std::to_string(frame.dst_node));
+      engine_->trace(TraceCategory::kWire, frame.src_node, [&] {
+        return "FAULT corrupt " + std::to_string(frame.src_node) + "->" +
+               std::to_string(frame.dst_node);
+      });
       frame.corrupted = true;
       break;
     case fault::FaultAction::kDelay:
       ++fault_delays_;
-      engine_->trace(TraceCategory::kWire, frame.src_node,
-                     "FAULT delay " + std::to_string(frame.src_node) + "->" +
-                         std::to_string(frame.dst_node) + " +" +
-                         std::to_string(to_us(decision.delay)) + "us");
+      engine_->trace(TraceCategory::kWire, frame.src_node, [&] {
+        return "FAULT delay " + std::to_string(frame.src_node) + "->" +
+               std::to_string(frame.dst_node) + " +" + std::to_string(to_us(decision.delay)) + "us";
+      });
       at_switch += decision.delay;
       break;
     case fault::FaultAction::kDeliver:
@@ -165,10 +166,10 @@ void Switch::ingress_routed(Frame frame) {
     // dst survives. Count and drop — per-stack retry exhaustion (IB
     // kRetryExceeded, iWARP/MX equivalents) surfaces the error.
     ++unroutable_drops_;
-    engine_->trace(TraceCategory::kWire, frame.src_node,
-                   "UNROUTABLE " + std::to_string(frame.src_node) + "->" +
-                       std::to_string(frame.dst_node) + " at switch " +
-                       std::to_string(config_.id));
+    engine_->trace(TraceCategory::kWire, frame.src_node, [&] {
+      return "UNROUTABLE " + std::to_string(frame.src_node) + "->" +
+             std::to_string(frame.dst_node) + " at switch " + std::to_string(config_.id);
+    });
     return;
   }
   Time at_switch = engine_->now() + config_.propagation + config_.cut_through;
@@ -212,10 +213,10 @@ void Switch::link_arrival(Frame frame) {
   if (out < 0) {
     ++unroutable_drops_;
     if (credit_frame) release_occupancy(frame.credit_port, frame.wire_bytes);
-    engine_->trace(TraceCategory::kWire, frame.src_node,
-                   "UNROUTABLE " + std::to_string(frame.src_node) + "->" +
-                       std::to_string(frame.dst_node) + " at switch " +
-                       std::to_string(config_.id));
+    engine_->trace(TraceCategory::kWire, frame.src_node, [&] {
+      return "UNROUTABLE " + std::to_string(frame.src_node) + "->" +
+             std::to_string(frame.dst_node) + " at switch " + std::to_string(config_.id);
+    });
     return;
   }
   // Per-hop fault consult, same (switch, out port) addressing as the
@@ -396,10 +397,11 @@ void Switch::requeue_down_port(int port) {
       }
     }
     ++down_drops_;
-    engine_->trace(TraceCategory::kWire, frame.src_node,
-                   "LINKDOWN drop " + std::to_string(frame.src_node) + "->" +
-                       std::to_string(frame.dst_node) + " at switch " +
-                       std::to_string(config_.id) + " port " + std::to_string(port));
+    engine_->trace(TraceCategory::kWire, frame.src_node, [&] {
+      return "LINKDOWN drop " + std::to_string(frame.src_node) + "->" +
+             std::to_string(frame.dst_node) + " at switch " + std::to_string(config_.id) +
+             " port " + std::to_string(port);
+    });
   }
 }
 

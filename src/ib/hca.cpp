@@ -137,8 +137,9 @@ void Hca::send_ack(Conn& conn, bool nak) {
   ++acks_sent_;
   if (nak) {
     ++naks_sent_;
-    engine().trace(TraceCategory::kProto, node_->id(),
-                   "IB RC NAK: expected psn " + std::to_string(conn.rx.expected()));
+    engine().trace(TraceCategory::kProto, node_->id(), [&] {
+      return "IB RC NAK: expected psn " + std::to_string(conn.rx.expected());
+    });
   }
 
   // Acks share the protocol engine and the tx link with data, and ride the
@@ -181,9 +182,10 @@ void Hca::retransmit_inflight(Conn& conn) {
   // Go-back-N: resend everything outstanding, oldest first, preserving the
   // original PSNs so the responder sees an in-order stream again.
   const std::size_t outstanding = conn.tx.size();
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "IB RC retransmit from psn " + std::to_string(conn.tx[0].psn) + ": " +
-                     std::to_string(outstanding) + " packets");
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return "IB RC retransmit from psn " + std::to_string(conn.tx[0].psn) + ": " +
+           std::to_string(outstanding) + " packets";
+  });
   for (std::size_t i = 0; i < outstanding; ++i) {
     transmit_packet(conn, conn.tx[i], /*retransmit=*/true);
   }
@@ -206,9 +208,10 @@ void Hca::on_timeout(int conn_id, std::uint64_t gen) {
   if (conn.tx.empty()) return;
   const int retry = conn.tx.count_retry();
   ++rto_fires_;
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "IB RC RTO fired: retry " + std::to_string(retry) + "/" +
-                     std::to_string(config_.retry_limit));
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return "IB RC RTO fired: retry " + std::to_string(retry) + "/" +
+           std::to_string(config_.retry_limit);
+  });
   if (retry > config_.retry_limit) {
     if (check::InvariantMonitor* monitor = engine().monitor()) {
       // RTO legality: the error transition is only legal once the retry
@@ -225,9 +228,10 @@ void Hca::on_timeout(int conn_id, std::uint64_t gen) {
 void Hca::enter_error(Conn& conn) {
   set_error(*conn.qp);
   conn.tx.cancel();
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "IB RC retry limit exhausted: QP " + std::to_string(conn.qp->qp_num()) +
-                     " -> error state");
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return "IB RC retry limit exhausted: QP " + std::to_string(conn.qp->qp_num()) +
+           " -> error state";
+  });
   // Flush outstanding signaled work requests with an error completion —
   // the RC contract when the transport retry counter is exhausted.
   // Read requests are skipped: the pending-read flush below owns read
@@ -269,9 +273,10 @@ void Hca::enter_error(Conn& conn) {
 void Hca::peer_conn_error(int conn_id) {
   Conn& conn = conn_at(conn_id);
   if (conn.qp->in_error()) return;
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "IB RC peer failure: QP " + std::to_string(conn.qp->qp_num()) +
-                     " -> error state (responder died mid-response)");
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return "IB RC peer failure: QP " + std::to_string(conn.qp->qp_num()) +
+           " -> error state (responder died mid-response)";
+  });
   enter_error(conn);
 }
 

@@ -99,14 +99,12 @@ void Rnic::transmit(Conn& conn, Segment segment, bool retransmit) {
     ++retransmits_;
     retransmitted_bytes_ += segment.payload_len;
   }
-  if (engine().tracer() != nullptr) {
-    engine().trace(TraceCategory::kProto, node_->id(),
-                   std::string(retransmit ? "TCP retransmit " : "TCP segment ") +
-                       kind_name(static_cast<int>(segment.kind)) + " seq=" +
-                       std::to_string(segment.seq) + " len=" +
-                       std::to_string(segment.payload_len) +
-                       (segment.last_of_message ? " [last]" : ""));
-  }
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return std::string(retransmit ? "TCP retransmit " : "TCP segment ") +
+           kind_name(static_cast<int>(segment.kind)) + " seq=" + std::to_string(segment.seq) +
+           " len=" + std::to_string(segment.payload_len) +
+           (segment.last_of_message ? " [last]" : "");
+  });
 
   const bool carries_data =
       segment.kind == MsgKind::kUntagged || segment.kind == MsgKind::kTaggedWrite ||
@@ -199,10 +197,10 @@ void Rnic::on_timeout(int conn_id, std::uint64_t gen) {
   if (conn.tx.empty()) return;
   ++rto_fires_;
   const int retry = conn.tx.count_retry();
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "TCP RTO fired: go-back-N from seq=" + std::to_string(conn.snd_una) +
-                     " (retry " + std::to_string(retry) + "/" +
-                     std::to_string(config_.retry_limit) + ")");
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return "TCP RTO fired: go-back-N from seq=" + std::to_string(conn.snd_una) + " (retry " +
+           std::to_string(retry) + "/" + std::to_string(config_.retry_limit) + ")";
+  });
   if (retry > config_.retry_limit) {
     // TCP gives up: the connection resets instead of retrying forever —
     // a fabric partition must surface as an error, not a hang.
@@ -231,9 +229,10 @@ void Rnic::enter_error(Conn& conn) {
   set_error(*conn.qp);
   conn.tx.cancel();
   ++conn_errors_;
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "TCP retry limit exhausted: QP " + std::to_string(conn.qp->qp_num()) +
-                     " connection reset -> error state");
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return "TCP retry limit exhausted: QP " + std::to_string(conn.qp->qp_num()) +
+           " connection reset -> error state";
+  });
   // Sends and writes complete optimistically at first wire handoff, so
   // only messages whose final segment never left (still in the sendq)
   // owe a completion. Read requests are owned by the pending-read list;
@@ -257,9 +256,10 @@ void Rnic::enter_error(Conn& conn) {
 void Rnic::peer_conn_error(int conn_id) {
   Conn& conn = conn_at(conn_id);
   if (conn.qp->in_error()) return;
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "TCP peer failure: QP " + std::to_string(conn.qp->qp_num()) +
-                     " -> error state (connection reset by peer)");
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return "TCP peer failure: QP " + std::to_string(conn.qp->qp_num()) +
+           " -> error state (connection reset by peer)";
+  });
   enter_error(conn);
 }
 
@@ -357,13 +357,10 @@ void Rnic::complete_placement(Conn& conn, const Segment& segment) {
   }
   const verbs::RxMsg* rx = place(conn, segment);
   if (rx == nullptr) return;
-  if (engine().tracer() != nullptr) {
-    engine().trace(TraceCategory::kNic, node_->id(),
-                   std::string("DDP placement complete: ") +
-                       kind_name(static_cast<int>(segment.kind)) + " " +
-                       std::to_string(segment.msg_len) + "B at 0x" +
-                       std::to_string(rx->target_addr));
-  }
+  engine().trace(TraceCategory::kNic, node_->id(), [&] {
+    return std::string("DDP placement complete: ") + kind_name(static_cast<int>(segment.kind)) +
+           " " + std::to_string(segment.msg_len) + "B at 0x" + std::to_string(rx->target_addr);
+  });
   complete_message(conn, segment, *rx);
 }
 

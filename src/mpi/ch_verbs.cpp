@@ -152,9 +152,10 @@ Task<RequestPtr> ChVerbs::isend(int dst, int tag, std::uint64_t addr, std::uint3
     const std::uint64_t id = next_req_id_++;
     const verbs::MrKey lkey = co_await pin(addr, len);
     rndv_sends_[id] = RndvSend{request, addr, len, lkey, dst, tag};
-    node_->engine().trace(TraceCategory::kProto, rank_,
-                          "MPI rendezvous RTS -> rank " + std::to_string(dst) + " tag=" +
-                              std::to_string(tag) + " len=" + std::to_string(len));
+    node_->engine().trace(TraceCategory::kProto, rank_, [&] {
+      return "MPI rendezvous RTS -> rank " + std::to_string(dst) + " tag=" + std::to_string(tag) +
+             " len=" + std::to_string(len);
+    });
     Envelope rts;
     rts.kind = Kind::kRts;
     rts.src_rank = rank_;
@@ -227,12 +228,13 @@ Task<verbs::MrKey> ChVerbs::pin(std::uint64_t addr, std::uint32_t len) {
   auto result = pin_cache_.lookup(addr, len);
   if (result.hit) {
     ++pin_hits_;
-    node_->engine().trace(TraceCategory::kHost, rank_, "pin-down cache hit");
+    node_->engine().trace(TraceCategory::kHost, rank_, [] { return "pin-down cache hit"; });
     co_return static_cast<verbs::MrKey>(result.user);
   }
   ++pin_misses_;
-  node_->engine().trace(TraceCategory::kHost, rank_,
-                        "pin-down cache miss: registering " + std::to_string(len) + "B");
+  node_->engine().trace(TraceCategory::kHost, rank_, [&] {
+    return "pin-down cache miss: registering " + std::to_string(len) + "B";
+  });
   const verbs::MrKey key = co_await device_->reg_mr(addr, len);
   pin_cache_.set_front_user(key);
   for (const auto& evicted : result.evicted) {
@@ -321,9 +323,9 @@ Task<> ChVerbs::maybe_ack(const Envelope& env, int peer_rank) {
 
 Task<> ChVerbs::accept_rndv(const Envelope& env, int peer_rank, std::uint64_t addr,
                             RequestPtr request) {
-  node_->engine().trace(TraceCategory::kProto, rank_,
-                        "MPI rendezvous CTS -> rank " + std::to_string(peer_rank) +
-                            " (target pinned)");
+  node_->engine().trace(TraceCategory::kProto, rank_, [&] {
+    return "MPI rendezvous CTS -> rank " + std::to_string(peer_rank) + " (target pinned)";
+  });
   const verbs::MrKey rkey = co_await pin(addr, env.len);
   rndv_recvs_[{peer_rank, env.req_id}] = request;
   Envelope cts;
@@ -474,10 +476,10 @@ Task<> ChVerbs::handle_inbound(int peer_rank, std::uint32_t slot) {
       if (scanned > 0) co_await cpu().compute(config_.posted_item_cost * scanned);
 
       if (it == posted_.end()) {
-        node_->engine().trace(TraceCategory::kHost, rank_,
-                              "MPI unexpected message from rank " +
-                                  std::to_string(env.src_rank) + " tag=" +
-                                  std::to_string(env.tag));
+        node_->engine().trace(TraceCategory::kHost, rank_, [&] {
+          return "MPI unexpected message from rank " + std::to_string(env.src_rank) + " tag=" +
+                 std::to_string(env.tag);
+        });
         UnexpectedMsg msg{env, peer_rank, nullptr};
         if (env.kind != Kind::kRts) {
           // Copy the payload out of the ring into host memory and return

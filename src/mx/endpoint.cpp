@@ -293,12 +293,13 @@ void Endpoint::on_flow_timeout(int dest, std::uint64_t gen) {
     fail_flow(dest);
     return;
   }
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "MX flow RTO fired: retry " + std::to_string(retry) + " to port " +
-                     std::to_string(dest));
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "MX resend to port " + std::to_string(dest) + ": " +
-                     std::to_string(window.size()) + " frames");
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return "MX flow RTO fired: retry " + std::to_string(retry) + " to port " + std::to_string(dest);
+  });
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return "MX resend to port " + std::to_string(dest) + ": " + std::to_string(window.size()) +
+           " frames";
+  });
   for (std::size_t i = 0; i < window.size(); ++i) {
     ++resends_;
     const Unacked& u = window[i];
@@ -317,9 +318,10 @@ void Endpoint::fail_flow(int dest) {
   flow.window.clear();  // nothing will be resent; quiescence audits see no strands
   flow.window.cancel();
   ++flow_failures_;
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "MX flow to port " + std::to_string(dest) + " failed: retry limit " +
-                     std::to_string(config_.retry_limit) + " exhausted, peer unreachable");
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return "MX flow to port " + std::to_string(dest) + " failed: retry limit " +
+           std::to_string(config_.retry_limit) + " exhausted, peer unreachable";
+  });
   // Rendezvous sends still waiting for a CTS that will never arrive.
   for (auto it = pending_sends_.begin(); it != pending_sends_.end();) {
     if (it->second.dest == dest) {
@@ -606,9 +608,10 @@ void Endpoint::finish_eager_delivery(Unexpected& u) {
 }
 
 void Endpoint::handle_rts(const MxFrame& frame) {
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "MX RTS arrived: match=" + std::to_string(frame.match_bits) + " len=" +
-                     std::to_string(frame.msg_len));
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return "MX RTS arrived: match=" + std::to_string(frame.match_bits) + " len=" +
+           std::to_string(frame.msg_len);
+  });
   auto it = std::find_if(posted_.begin(), posted_.end(), [&](const PostedRecv& recv) {
     return matches(recv, frame.match_bits);
   });
@@ -658,8 +661,9 @@ void Endpoint::handle_cts(const MxFrame& frame) {
   // A CTS racing the flow-failure declaration: the pending send was
   // already failed and purged, so the grant is moot.
   if (flow_failed(frame.src_port)) return;
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "MX CTS arrived: streaming msg " + std::to_string(frame.msg_id));
+  engine().trace(TraceCategory::kProto, node_->id(), [&] {
+    return "MX CTS arrived: streaming msg " + std::to_string(frame.msg_id);
+  });
   stream_data(frame.msg_id, frame.peer_msg_id);
 }
 

@@ -20,6 +20,12 @@ void Driver::promise_type::FinalAwaiter::await_suspend(
 
 }  // namespace detail
 
+FABSIM_COLD void sim::EventKey::overflow(std::uint64_t seq, std::uint32_t slot) {
+  throw std::length_error("event queue key overflow: seq " + std::to_string(seq) + " (limit " +
+                          std::to_string(kSeqLimit) + "), slot " + std::to_string(slot) +
+                          " (limit " + std::to_string(kSlotLimit) + ")");
+}
+
 Engine::~Engine() {
   // Destroy any still-suspended processes. Driver frames own their Task
   // parameter, whose destructor recursively destroys child frames.
@@ -125,7 +131,7 @@ FABSIM_HOT Engine::EventQueue::Key Engine::pop_next() {
     view_.clear();
     for (const EventQueue::Key& key : ready_) {
       // HOT-OK(policy materialization scratch; member capacity reused across calls)
-      view_.push_back(ReadyEvent{key.at, key.seq, key.scope});
+      view_.push_back(ReadyEvent{key.at, key.seq(), queue_.slot(key.slot()).scope});
     }
     pick = policy_->choose(view_);
     if (pick >= ready_.size()) pick = 0;  // defensive: contract says < size
@@ -146,9 +152,10 @@ FABSIM_HOT Engine::EventQueue::Key Engine::pop_next() {
 // afterwards, so the pop side of dispatch moves zero payload bytes.
 void Engine::step() {
   const EventQueue::Key key = pop_next();
-  account_event(key.at, key.seq);
-  dispatch(key.scope, queue_.payload(key.slot));
-  queue_.release(key.slot);
+  account_event(key.at, key.seq());
+  EventQueue::Slot& slot = queue_.slot(key.slot());
+  dispatch(slot.scope, slot.fn);
+  queue_.release(key.slot());
   check_exception();
 }
 

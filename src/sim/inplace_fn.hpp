@@ -19,6 +19,10 @@
 //     per-type operations table moves only sizeof(F) bytes, not the full
 //     capacity) and empties the source. No copies: posted continuations
 //     own moved-in frames and completion state.
+//   * Buildable in place. emplace() constructs a callable directly in an
+//     existing wrapper's storage, so the Engine builds each posted
+//     continuation in its queue slot instead of building a temporary and
+//     relocating it there.
 //   * Deterministic. Construction, move and destruction touch nothing
 //     global — no allocator, no registry — so swapping std::function for
 //     InplaceFn leaves every run digest byte-identical (pinned by
@@ -36,7 +40,8 @@ namespace fabsim::sim {
 /// Inline storage for one posted continuation. Sized for the largest
 /// wire-handoff lambda in the tree (an iwarp::Rnic Segment or ib::Hca
 /// Packet moved into the capture plus a handful of pointers) while
-/// keeping the whole wrapper — ops pointer + storage — at exactly three
+/// keeping the whole wrapper — ops pointer + storage — at 184 bytes, so
+/// the Engine's queue slot (wrapper + scope label) is 192 bytes, three
 /// cache lines; the compile-time fit check below turns a capture that
 /// outgrows this into a build error naming the offending post site.
 inline constexpr std::size_t kEventFnCapacity = 176;
@@ -44,21 +49,20 @@ inline constexpr std::size_t kEventFnCapacity = 176;
 /// Move-only callable with fixed inline storage and no heap fallback.
 template <std::size_t Capacity = kEventFnCapacity>
 class InplaceFn {
+ public:
+  /// True when a callable of type F can be held: it fits the capacity,
+  /// needs no more than pointer alignment, and can be moved.
   template <typename F>
-  static constexpr bool fits = sizeof(F) <= Capacity &&
-                               alignof(F) <= alignof(std::max_align_t) &&
+  static constexpr bool fits = sizeof(F) <= Capacity && alignof(F) <= alignof(void*) &&
                                std::is_move_constructible_v<F>;
 
- public:
   InplaceFn() noexcept = default;
 
   template <typename F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, InplaceFn> &&
              fits<std::remove_cvref_t<F>>)
   InplaceFn(F&& fn) {  // NOLINT(google-explicit-constructor): mirrors std::function
-    using Fn = std::remove_cvref_t<F>;
-    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));  // NOLINT: placement new, no allocation
-    ops_ = &ops_for<Fn>;
+    emplace(std::forward<F>(fn));
   }
 
   /// A callable that exceeds the inline capacity is a compile error, not
@@ -98,6 +102,26 @@ class InplaceFn {
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
   void operator()() { ops_->invoke(storage_); }
+
+  /// Replace the held callable (if any) with `fn`, constructed directly
+  /// in the inline storage: no temporary wrapper, no relocation.
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, InplaceFn> &&
+             fits<std::remove_cvref_t<F>>)
+  void emplace(F&& fn) {
+    reset();
+    using Fn = std::remove_cvref_t<F>;
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));  // NOLINT: placement new, no allocation
+    ops_ = &ops_for<Fn>;
+  }
+
+  /// Destroy the held callable, if any; the wrapper is empty afterwards.
+  void reset() {
+    if (ops_ != nullptr) {
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
+      ops_ = nullptr;
+    }
+  }
 
  private:
   struct Ops {
@@ -143,19 +167,12 @@ class InplaceFn {
     }
   }
 
-  void reset() {
-    if (ops_ != nullptr) {
-      if (ops_->destroy != nullptr) ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
-  }
-
-  // ops_ deliberately precedes the storage: together with the first
-  // bytes of a small capture it shares one cache line, so parking and
-  // dispatching a typical continuation touches a single line of the
-  // Engine's payload slab instead of two.
+  // ops_ deliberately precedes the storage, with no padding between
+  // them: together with the first bytes of a small capture it shares one
+  // cache line, so parking and dispatching a typical continuation
+  // touches a single line of the Engine's payload slab instead of two.
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char storage_[Capacity];
+  alignas(void*) unsigned char storage_[Capacity];
 };
 
 /// The Engine's event-payload type: every posted continuation must fit.

@@ -18,9 +18,10 @@
 //     tests).
 //   * event-queue churn — posts, heap pops, policy requeues, the peak
 //     queue depth, and an accumulated "heapify cost" (sum of
-//     bit_width(depth) over every heap operation — the O(log n) work a
-//     binary heap does per push/pop). This is the number the ROADMAP's
-//     calendar-queue replacement must drive toward O(1) per event.
+//     bit_width(depth) over every queue operation — the height of a
+//     binary heap of that depth). It indexes queue depth, in a form
+//     comparable across queue implementations; it does not count the
+//     engine's 4-ary sift steps.
 //   * allocation churn — a counting-allocator seam (prof::
 //     CountingAllocator) that the Engine's event-queue storage runs on.
 //     Its thread-local tally always counts; the Profiler publishes the
@@ -155,7 +156,7 @@ class Profiler {
     note_heap_op(depth_after);
   }
   /// The Engine's event queue grew a backing store (amortized doubling
-  /// of the key heap, the payload slab, or the slab's free list);
+  /// of the key heap, or a new block of the payload slab);
   /// `allocs` is how many tracked allocations that one growth step
   /// performed. Growth allocations that land inside a dispatch bracket
   /// are attributed separately so allocs_per_event() reflects only the

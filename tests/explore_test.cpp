@@ -134,16 +134,24 @@ struct MoveCount {
   int* moves;
 };
 
-/// Always dispatches the last-inserted co-enabled event, never the head.
+/// Always dispatches the last-inserted co-enabled event, never the head,
+/// and records the scope labels of every ready set it is shown.
 class LastPolicy final : public SchedulePolicy {
  public:
-  std::size_t choose(const std::vector<ReadyEvent>& ready) override { return ready.size() - 1; }
+  std::size_t choose(const std::vector<ReadyEvent>& ready) override {
+    std::vector<int> scopes;
+    for (const ReadyEvent& event : ready) scopes.push_back(event.scope);
+    seen.push_back(scopes);
+    return ready.size() - 1;
+  }
+  std::vector<std::vector<int>> seen;
 };
 
 TEST(ScheduleSeam, PolicyReordersKeysNotPayloads) {
   // A policy reorders co-enabled events by their queue keys; payloads
   // stay in their slab slots, so a capture moves exactly as often as it
-  // does with no policy attached.
+  // does with no policy attached: once, into its slot, where post()
+  // builds it.
   auto run = [](SchedulePolicy* policy, std::vector<int>& order) {
     int moves = 0;
     Engine engine;
@@ -161,8 +169,10 @@ TEST(ScheduleSeam, PolicyReordersKeysNotPayloads) {
   const int policy_moves = run(&last, last_order);
   EXPECT_EQ(bare_order, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(last_order, (std::vector<int>{3, 2, 1, 0})) << "the policy picked non-head events";
-  EXPECT_GT(bare_moves, 0);
+  EXPECT_EQ(bare_moves, 4) << "each capture moves once, into its slot";
   EXPECT_EQ(policy_moves, bare_moves);
+  // The ready sets carry each event's scope label from its slot.
+  EXPECT_EQ(last.seen, (std::vector<std::vector<int>>{{0, 1, 2, 3}, {0, 1, 2}, {0, 1}}));
 }
 
 // ---------------------------------------------------------------------------

@@ -70,9 +70,24 @@ TEST(InplaceFn, DestroysTheCaptureExactlyOnce) {
     target = std::move(moved);
     EXPECT_EQ(other.use_count(), 1) << "assigned-over capture must be destroyed";
     EXPECT_EQ(token.use_count(), 2);
+    // emplace() over an engaged wrapper destroys the old capture too,
+    // and reset() empties it.
+    target.emplace([other] { (void)*other; });
+    EXPECT_EQ(token.use_count(), 1) << "emplaced-over capture must be destroyed";
+    EXPECT_EQ(other.use_count(), 2);
+    target.reset();
+    EXPECT_FALSE(static_cast<bool>(target));
+    EXPECT_EQ(other.use_count(), 1) << "reset must destroy the capture";
   }
   EXPECT_EQ(token.use_count(), 1) << "scope exit must destroy the capture";
 }
+
+/// Whether Engine::post, with and without a scope label, accepts an F.
+template <typename F>
+concept Postable = requires(Engine& engine, F fn) {
+  engine.post(Time{0}, std::move(fn));
+  engine.post(Time{0}, /*scope=*/0, std::move(fn));
+};
 
 TEST(InplaceFn, OversizeCallablesAreRejectedAtCompileTime) {
   // A capture that fits is constructible; one byte past the inline
@@ -86,10 +101,22 @@ TEST(InplaceFn, OversizeCallablesAreRejectedAtCompileTime) {
     unsigned char payload[sim::kEventFnCapacity + 1];
     void operator()() const {}
   };
+  // Storage is pointer-aligned: a capture that needs more is rejected
+  // the same way.
+  struct alignas(16) OverAligned {
+    unsigned char payload[16];
+    void operator()() const {}
+  };
   static_assert(std::is_constructible_v<sim::EventFn, Fits>);
   static_assert(!std::is_constructible_v<sim::EventFn, Oversize>);
+  static_assert(!std::is_constructible_v<sim::EventFn, OverAligned>);
   EXPECT_TRUE((std::is_constructible_v<sim::EventFn, Fits>));
   EXPECT_FALSE((std::is_constructible_v<sim::EventFn, Oversize>));
+  // Engine::post builds the callable in its queue slot; the same
+  // captures pass or fail there.
+  static_assert(Postable<Fits>);
+  static_assert(!Postable<Oversize>);
+  static_assert(!Postable<OverAligned>);
 }
 
 // --- Allocation budget unit semantics ---------------------------------

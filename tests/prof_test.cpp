@@ -234,7 +234,7 @@ TEST(Prof, ChromeTraceHostLanesRoundTripThroughMinijson) {
   engine.set_profiler(&profiler);
   for (int i = 0; i < 10; ++i) {
     engine.post(us(static_cast<double>(i)), /*scope=*/i % 2, [&engine, i] {
-      engine.trace(TraceCategory::kHost, i % 2, "evt" + std::to_string(i));
+      engine.trace(TraceCategory::kHost, i % 2, [i] { return "evt" + std::to_string(i); });
     });
   }
   engine.run();

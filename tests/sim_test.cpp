@@ -2,12 +2,17 @@
 // primitives, and timed resources.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
+#include "sim/schedule.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -45,13 +50,110 @@ TEST(Engine, SleepAdvancesTime) {
 }
 
 TEST(Engine, SameTimeEventsRunInPostOrder) {
-  Engine engine;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    engine.post(us(1), [i, &order] { order.push_back(i); });
+  // 300 ties fill more than one payload block and several heap levels.
+  for (const int count : {5, 300}) {
+    Engine engine;
+    std::vector<int> order, expected;
+    for (int i = 0; i < count; ++i) {
+      engine.post(us(1), [i, &order] { order.push_back(i); });
+      expected.push_back(i);
+    }
+    engine.run();
+    EXPECT_EQ(order, expected) << count << " ties";
   }
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+/// A seeded stream for the queue's order test: 16,384 prefilled events
+/// on a coarse time grid (so many share a timestamp), and callbacks that
+/// post 0-2 more, some at now(), until about 30,000 posts in all. The
+/// stream runs through run_until boundaries, then to the end. Returns
+/// the post index of each dispatched event, in dispatch order, and the
+/// (at, post index) of every post.
+struct DeepStream {
+  std::vector<std::uint64_t> dispatched;
+  std::vector<std::pair<Time, std::uint64_t>> posted;
+  std::uint64_t digest = 0;
+  bool dispatched_past_boundary = false;
+};
+
+DeepStream run_deep_stream(SchedulePolicy* policy) {
+  struct Driver {
+    Engine engine;
+    Xoshiro256 rng{20261020};
+    DeepStream out;
+    Time boundary = 0;
+    void post(Time at) {
+      const std::uint64_t id = out.posted.size();
+      out.posted.emplace_back(at, id);
+      engine.post(at, static_cast<int>(id % 4) - 1, [this, id] { fire(id); });
+    }
+    void fire(std::uint64_t id) {
+      if (engine.now() > boundary) out.dispatched_past_boundary = true;
+      out.dispatched.push_back(id);
+      if (out.posted.size() >= 30'000) return;
+      const std::uint64_t children = rng.uniform_below(3);
+      for (std::uint64_t c = 0; c < children; ++c) {
+        const bool at_now = rng.bernoulli(0.25);
+        post(engine.now() + (at_now ? 0 : ns(10) * (1 + rng.uniform_below(64))));
+      }
+    }
+  };
+  Driver driver;
+  driver.engine.set_schedule_policy(policy);
+  for (int i = 0; i < 16'384; ++i) driver.post(ns(10) * driver.rng.uniform_below(512));
+  for (Time t = ns(500); t <= us(6); t += ns(500)) {
+    driver.boundary = t;
+    driver.engine.run_until(t);
+    EXPECT_EQ(driver.engine.now(), t);
+  }
+  driver.boundary = ~Time{0};
+  driver.engine.run();
+  driver.out.digest = driver.engine.run_digest();
+  return std::move(driver.out);
+}
+
+TEST(Engine, DeepQueueDispatchesInStableTimeOrder) {
+  const DeepStream bare = run_deep_stream(nullptr);
+  EXPECT_GT(bare.posted.size(), 20'000u);
+  EXPECT_FALSE(bare.dispatched_past_boundary) << "run_until ran an event past its boundary";
+  // Every post was dispatched once, in (at, post index) order: a stable
+  // sort of the posts by time.
+  std::vector<std::pair<Time, std::uint64_t>> expected = bare.posted;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  ASSERT_EQ(bare.dispatched.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(bare.dispatched[i], expected[i].second) << "dispatch " << i;
+  }
+  // A policy that always picks the head pops every co-enabled set and
+  // pushes the rest back; the order and the digest must not move.
+  InsertionOrderPolicy head;
+  const DeepStream with_policy = run_deep_stream(&head);
+  EXPECT_EQ(with_policy.dispatched, bare.dispatched);
+  EXPECT_EQ(with_policy.posted, bare.posted);
+  EXPECT_EQ(with_policy.digest, bare.digest);
+}
+
+TEST(EventKey, PackRoundTripsItsLimitsAndRejectsPastThem) {
+  EXPECT_EQ(sim::EventKey::kSeqLimit, std::uint64_t{1} << 40);
+  EXPECT_EQ(sim::EventKey::kSlotLimit, std::uint64_t{1} << 24);
+  const std::uint64_t max_seq = sim::EventKey::kSeqLimit - 1;
+  const auto max_slot = static_cast<std::uint32_t>(sim::EventKey::kSlotLimit - 1);
+  const std::pair<std::uint64_t, std::uint32_t> cases[] = {
+      {0, 0}, {max_seq, 0}, {0, max_slot}, {max_seq, max_slot}, {12345, 678}};
+  for (const auto& [seq, slot] : cases) {
+    const sim::EventKey key = sim::EventKey::pack(us(3), seq, slot);
+    EXPECT_EQ(key.at, us(3));
+    EXPECT_EQ(key.seq(), seq);
+    EXPECT_EQ(key.slot(), slot);
+  }
+  EXPECT_THROW(sim::EventKey::pack(0, max_seq + 1, 0), std::length_error);
+  EXPECT_THROW(sim::EventKey::pack(0, 0, max_slot + 1), std::length_error);
+  EXPECT_THROW(sim::EventKey::pack(0, ~std::uint64_t{0}, ~std::uint32_t{0}), std::length_error);
+  // Keys order by (at, seq); the slot bits never decide.
+  EXPECT_TRUE(sim::EventKey::pack(1, 5, max_slot) < sim::EventKey::pack(1, 6, 0));
+  EXPECT_TRUE(sim::EventKey::pack(1, max_seq, max_slot) < sim::EventKey::pack(2, 0, 0));
+  EXPECT_FALSE(sim::EventKey::pack(2, 0, 0) < sim::EventKey::pack(1, max_seq, 0));
 }
 
 TEST(Engine, NestedTasksPropagateValues) {
