@@ -7,8 +7,11 @@ runs the command with it preloaded, symbolizes the PCs with addr2line and
 prints the share of samples per function and per layer. A sample's layer
 is the src/<layer>/ directory of its innermost inlined frame under src/,
 so std::push_heap inlined into the engine counts as "sim"; other samples
-count under their binary's name (libc.so.6, ...). x86-64 Linux only;
-elsewhere it exits 77, which ctest reports as skipped.
+count under their binary's name (libc.so.6, ...). A sample without debug
+information is named after the symbol whose extent (nm -S, or nm -D -S
+for a stripped library such as libc) holds it; past every symbol's
+extent it is "(unnamed in libc.so.6)", not the nearest exported name.
+x86-64 Linux only; elsewhere it exits 77, which ctest reports as skipped.
 
   pcsample.py [--shim SO] [--expect-layer L] -- CMD ARGS...
 
@@ -16,6 +19,7 @@ elsewhere it exits 77, which ctest reports as skipped.
 the samples.
 """
 import argparse
+import bisect
 import collections
 import functools
 import os
@@ -66,6 +70,44 @@ def symbolize(binary, addrs):
     return frames
 
 
+@functools.lru_cache(maxsize=None)
+def read_symbols(binary):
+    """(starts, symbols): the binary's sized code symbols as sorted
+    (start, end, name), from its static table, or from its dynamic table
+    when it has no static one (a stripped library such as libc)."""
+    for table in (["-S"], ["-D", "-S"]):
+        out = subprocess.run(["nm", "-C", "--defined-only", *table, binary],
+                             capture_output=True, text=True).stdout
+        symbols = []
+        for line in out.splitlines():
+            fields = line.split(None, 3)
+            if len(fields) == 4 and fields[2] in "TtWwi":
+                start = int(fields[0], 16)
+                symbols.append((start, start + int(fields[1], 16), fields[3]))
+        if symbols:
+            symbols.sort()
+            return [s[0] for s in symbols], symbols
+    return [], []
+
+
+def function_of(addr, frames, symbols, binary):
+    """The function a sample at `addr` is charged to. addr2line's innermost
+    frame is right when it has a source line. Without debug information
+    addr2line names the nearest symbol below the address, however far
+    past that symbol's end it lies, so then the symbol must also hold the
+    address by its size; otherwise the sample is unnamed code of `binary`."""
+    function, path = frames[0]
+    if path not in ("", "??"):
+        return function
+    if binary[0] != "/":
+        return binary  # "(unmapped)"
+    starts, table = symbols
+    i = bisect.bisect_right(starts, addr) - 1
+    if i >= 0 and addr < table[i][1]:
+        return table[i][2]
+    return "(unnamed in %s)" % os.path.basename(binary)
+
+
 def layer_of(frames, binary):
     for _, path in frames:
         parts = os.path.normpath(path).split(os.sep)
@@ -112,10 +154,12 @@ def main():
 
     functions, layers = collections.Counter(), collections.Counter()
     for binary, addrs in by_binary.items():
-        frames = symbolize(binary, sorted(set(addrs))) if binary[0] == "/" else {}
+        mapped = binary[0] == "/"
+        frames = symbolize(binary, sorted(set(addrs))) if mapped else {}
+        symbols = read_symbols(binary) if mapped else ([], [])
         for addr in addrs:
             stack = frames.get(addr) or [("??", "")]
-            functions[stack[0][0]] += 1
+            functions[function_of(addr, stack, symbols, binary)] += 1
             layers[layer_of(stack, binary)] += 1
     total = sum(layers.values())
     if total == 0:

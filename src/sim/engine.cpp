@@ -116,7 +116,7 @@ FABSIM_HOT Engine::EventQueue::Key Engine::pop_next() {
     return queue_.pop_key();
   }
   // Materialize the co-enabled set: the key of every queued event
-  // sharing the head timestamp. The heap yields them in ascending seq
+  // sharing the head timestamp. The queue yields them in ascending seq
   // order, so index 0 is the default insertion-order pick. ready_/view_
   // are members whose capacity persists across calls.
   const Time head = queue_.top().at;
@@ -136,11 +136,12 @@ FABSIM_HOT Engine::EventQueue::Key Engine::pop_next() {
     pick = policy_->choose(view_);
     if (pick >= ready_.size()) pick = 0;  // defensive: contract says < size
   }
-  // The heap just held every one of these keys, so pushing the others
-  // back cannot grow it.
+  // Every other queued key is later than these, so the ones pushed back
+  // form one new run. Starting it can grow the run tails and the heads
+  // heap past their high-water marks: counted like a post's growth.
   for (std::size_t i = 0; i < ready_.size(); ++i) {
     if (i == pick) continue;
-    queue_.push_key(ready_[i]);
+    excuse_queue_growth(queue_.push_key(ready_[i]));
     if (profiler_ != nullptr) profiler_->on_requeue(queue_.size());
   }
   return ready_[pick];

@@ -172,16 +172,7 @@ class Engine {
     requires sim::EventFn::fits<std::remove_cvref_t<F>>
   FABSIM_HOT void post(Time at, int scope, F&& fn) {
     if (at < now_) report_past_post(at);
-    // Amortized backing-store growth is the one allocation class the
-    // zero-alloc dispatch contract permits: push() reports how many
-    // tracked allocations it performed (key heap, payload slab — 0 in
-    // steady state), so the monitor's per-event budget and the
-    // profiler's allocs_per_event exclude exactly those.
-    const int growths = queue_.push(at, next_seq_++, scope, std::forward<F>(fn));
-    if (growths > 0) {
-      if (profiler_ != nullptr) profiler_->on_queue_growth(static_cast<std::uint64_t>(growths));
-      if (monitor_ != nullptr) monitor_->excuse_growth(static_cast<std::uint64_t>(growths));
-    }
+    excuse_queue_growth(queue_.push(at, next_seq_++, scope, std::forward<F>(fn)));
     if (profiler_ != nullptr) profiler_->on_post(queue_.size());
   }
 
@@ -308,24 +299,39 @@ class Engine {
  private:
   friend struct detail::Driver::promise_type::FinalAwaiter;
 
-  /// The event queue: a 4-ary min-heap of 16-byte sim::EventKeys over a
-  /// slab of payload slots.
+  /// The event queue: a merge of sorted runs of 16-byte sim::EventKeys,
+  /// over a slab of payload slots.
   ///
-  /// Pop order is exactly (at, seq): keys are unique, so the heap's tie
-  /// handling never matters. The Engine drives the heap itself so it can
-  /// (a) count an imminent capacity growth *as it happens* — the one
-  /// allocation the zero-alloc dispatch contract excuses — and (b) push
-  /// popped keys back for a SchedulePolicy.
+  /// NIC pipelines post ahead: a transmit pump books a window of
+  /// segments on its serial servers and posts their departures in
+  /// increasing time order. So the queue holds a few sorted runs, not a
+  /// heap's worth of unrelated keys: split best-fit, FabricBench's posts
+  /// met a mean of 3.8 runs among 992 queued events on headline, and
+  /// 11-15 runs among 210-234 events on the Clos workloads. push()
+  /// appends each key to the run whose tail is the largest key below it
+  /// (patience sorting, best fit), or starts a run when every tail is
+  /// larger. A run is linked through its payload slots: beside each
+  /// queued slot sits the key that follows it in its run. A binary
+  /// min-heap orders only the runs' heads. pop_key() takes the
+  /// top head, and its run's next key replaces it with one sift-down;
+  /// when the run has ended, the heap pops as a plain heap does.
   ///
-  /// Keys are stored kArity - 1 places into 64-byte-aligned lines, so
-  /// the four children of a node fill exactly one cache line: a
-  /// sift-down step reads one line and makes three compares. Four
-  /// children per node halve the heap's height against a binary heap,
-  /// and a 16-byte key moves in two words. Against std::push_heap and
-  /// std::pop_heap over a plain vector of the same keys, this heap ran
-  /// FabricBench incast_lossy 5.9% and 4.5% faster (medians of 10
-  /// alternating 20 s runs each at seeds 1 and 7, faster in 18 of the
-  /// 20 pairs; 4-core Xeon VM) and headline within run-to-run spread.
+  /// Pop order is exactly (at, seq): keys are unique, every run is
+  /// sorted and the heap merges the runs, so the heap's tie handling
+  /// never matters. A run is picked by the full key, never by `at`
+  /// alone: a SchedulePolicy re-push carries an older seq than later
+  /// posts. The Engine drives the queue itself so it can (a) count an
+  /// imminent capacity growth *as it happens* — the one allocation the
+  /// zero-alloc dispatch contract excuses — and (b) push popped keys
+  /// back for a SchedulePolicy.
+  ///
+  /// The run tails sit in one vector in descending order. A key smaller
+  /// than every tail starts a run at the back. A run ends only when its
+  /// last key is popped, which is the queue's minimum and so the
+  /// smallest tail, at the back too. Appending replaces one tail in place
+  /// and keeps the order. Nothing shifts, and the run is found by a
+  /// binary search without branches, so even a stream whose every post
+  /// starts a run (decreasing times) costs O(log runs) per operation.
   ///
   /// A payload slot is 192 bytes: the post's scope label, then the
   /// sim::EventFn, whose callable post() constructs in place. Slots
@@ -334,7 +340,8 @@ class Engine {
   /// life: the Engine dispatches straight out of the slot by reference,
   /// and release() destroys the capture and recycles the slot. A free
   /// slot links to the next free one through the scope field, so the
-  /// free list needs no storage of its own.
+  /// free list needs no storage of its own. The run links live beside
+  /// the slots, in the same block, so a slot keeps its 4 spare bytes.
   class EventQueue {
    public:
     using Key = sim::EventKey;
@@ -359,14 +366,14 @@ class Engine {
 
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
-    const Key& top() const { return key(0); }
+    const Key& top() const { return head(0); }
 
     /// Park `fn` in a free slot and queue its key. Returns the number of
     /// tracked backing-store allocations the push performed (0 in steady
-    /// state) so the caller can excuse them with the observers: the key
-    /// heap's amortized doubling, and — when a fresh payload block is
-    /// minted — the block itself and the block directory's occasional
-    /// doubling.
+    /// state) so the caller can excuse them with the observers: the run
+    /// tails' and the heads heap's amortized doubling, and — when a
+    /// fresh payload block is minted — the block's slots and links and
+    /// the block directory's occasional doubling.
     template <typename F>
     FABSIM_HOT int push(Time at, std::uint64_t seq, int scope, F&& fn) {
       const int growths = free_ == kNoSlot ? mint() : 0;
@@ -380,28 +387,36 @@ class Engine {
       return growths + push_key(key);
     }
 
-    /// Push a key onto the heap; returns 1 if the key store grew. From
-    /// push() the store may grow (counted there); re-pushing keys
-    /// pop_key() just returned, as a SchedulePolicy materialization
-    /// does, never grows it.
+    /// Queue a key in its run; returns the number of tracked allocations
+    /// made. Only a new run allocates: the run tails or the heads heap
+    /// may grow. push() counts that; a SchedulePolicy's re-push of keys
+    /// pop_key() returned can start a run too, and pop_next() counts it.
     FABSIM_HOT int push_key(const Key& key) {
-      int growths = 0;
-      while ((size_ + kPad) / kKeysPerLine >= lines_.size()) {
-        if (lines_.size() == lines_.capacity()) ++growths;
-        // HOT-OK(key-heap growth to a new high-water mark, amortized; counted in the return value and excused with the observers)
-        lines_.emplace_back();
-        heap_ = reinterpret_cast<Key*>(lines_.data()) + kPad;
-      }
-      sift_up(size_++, key);
-      return growths;
+      ++size_;
+      const std::size_t run = run_below(key);
+      if (run == tails_.size()) return start_run(key);
+      Key& tail = tails_[run];
+      link(tail.slot()).next = key;
+      tail = key;
+      return 0;
     }
 
     /// Pop the (at, seq) minimum's key. The payload slot stays live —
     /// pinned for in-place dispatch, or for push_key() — until
     /// release(slot).
     FABSIM_HOT Key pop_key() {
-      const Key top = key(0);
-      if (--size_ > 0) sift_down(key(size_));
+      const Key top = head(0);
+      --size_;
+      if (top.word != tails_.back().word) {
+        // The run goes on: its next key replaces the top.
+        sift_down(link(top.slot()).next);
+      } else {
+        // The top was its run's last key, so the smallest tail.
+        tails_.pop_back();
+        const Key last = heads_.back();
+        heads_.pop_back();
+        if (!heads_.empty()) sift_down(last);
+      }
       return top;
     }
 
@@ -409,7 +424,7 @@ class Engine {
     /// made while its callable runs: blocks never reallocate, and the
     /// slot cannot be recycled before release().
     FABSIM_HOT Slot& slot(std::uint32_t index) {
-      return chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
+      return blocks_[index >> kBlockShift].slots[index & (kBlockSize - 1)];
     }
 
     /// Destroy a dispatched payload (captured frames and completion
@@ -423,43 +438,95 @@ class Engine {
     }
 
    private:
-    /// Children per heap node. Of 2, 4 and 8, 4 ran FabricBench
-    /// incast_lossy fastest (2 by 1%, 8 by 5%); on headline and the
-    /// hold lanes the three were within run-to-run spread.
-    static constexpr std::size_t kArity = 4;
-    static constexpr std::size_t kKeysPerLine = 64 / sizeof(Key);
-    /// Logical index i lives at physical index i + kPad, so the children
-    /// of every node (logical kArity*i + 1 ...) start a line.
-    static constexpr std::size_t kPad = kArity - 1;
-    struct alignas(64) Line {
-      Key keys[kKeysPerLine];
-    };
-    static_assert(sizeof(Line) == kKeysPerLine * sizeof(Key), "lines hold keys end to end");
+    /// Children per node of the heads heap. With only run heads in it,
+    /// 2 ran faster than 4: replaying FabricBench's recorded queue
+    /// operations through the queue alone (16 alternating runs per
+    /// workload, one 4-core Xeon VM), arity 2 was faster in 13 of 16 on
+    /// headline and 12 of 16 on allreduce_clos, by 4-8% in the medians,
+    /// and level on incast_lossy (9 of 16). A plain vector of heads
+    /// replayed level with 64-byte-aligned lines of them, so the heads
+    /// need no aligned storage.
+    static constexpr std::size_t kArity = 2;
 
     /// Payloads per block: big enough to amortize block mints, small
     /// enough that an idle queue is not sitting on megabytes.
-    static constexpr std::size_t kChunkShift = 8;
-    static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
+    static constexpr std::size_t kBlockShift = 8;
+    static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-    Key& key(std::size_t i) { return heap_[i]; }
-    const Key& key(std::size_t i) const { return heap_[i]; }
+    /// A queued key's place in its run: the run's next key, whose slot
+    /// bits name the next slot. Unset at a run's tail. Holding the whole
+    /// key, not only its slot, saves a pop the second dependent read of
+    /// a line that is often cold: replaying FabricBench's recorded queue
+    /// operations, it ran allreduce_clos's 11% faster in the median
+    /// (5 of 6 alternating runs) and headline's 1% (4 of 6), and the
+    /// queue's share of headline's leaf-PC samples fell from 31.8% to
+    /// 28.5%.
+    struct Link {
+      Link() {}  // NOLINT(modernize-use-equals-default): = default would zero-fill
+      Key next;
+    };
+
+    /// kBlockSize payload slots and their run links, minted together.
+    /// The backing stores allocate through the FabricProf counting
+    /// allocator (a no-op branch unless the seam is armed), so event-
+    /// posting heap traffic is a measured number, not folklore.
+    struct Block {
+      Block() : slots(kBlockSize), links(kBlockSize) {}
+      std::vector<Slot, prof::CountingAllocator<Slot>> slots;
+      std::vector<Link, prof::CountingAllocator<Link>> links;
+    };
+
+    Link& link(std::uint32_t index) {
+      return blocks_[index >> kBlockShift].links[index & (kBlockSize - 1)];
+    }
+    Key& head(std::size_t i) { return heads_[i]; }
+    const Key& head(std::size_t i) const { return heads_[i]; }
+
+    /// The run whose tail is the largest key below `key`, or
+    /// tails_.size() if every tail is larger. Tails descend, so that is
+    /// the count of tails above `key`, found by a binary search whose
+    /// steps are chosen without branches, as in min_index.
+    std::size_t run_below(const Key& key) const {
+      std::size_t n = tails_.size();
+      if (n == 0) return 0;
+      const Key* base = tails_.data();
+      while (n > 1) {
+        const std::size_t half = n / 2;
+        const std::size_t above = key < base[half];
+        base += half & (0 - above);
+        n -= half;
+      }
+      return static_cast<std::size_t>(base - tails_.data()) + (key < *base);
+    }
+
+    /// Start a run at `key`, now the smallest tail, and heap it as a
+    /// head. Returns the tracked allocations made.
+    int start_run(const Key& key) {
+      const int growths = (tails_.size() == tails_.capacity()) + (heads_.size() == heads_.capacity());
+      // HOT-OK(run-tails growth to a new high-water mark, amortized; counted in the return value and excused with the observers)
+      tails_.push_back(key);
+      // HOT-OK(heads-heap growth to a new high-water mark, amortized; counted in the return value and excused with the observers)
+      heads_.push_back(key);
+      sift_up(heads_.size() - 1, key);
+      return growths;
+    }
 
     /// Move the hole at `hole` up until `k` may fill it.
     void sift_up(std::size_t hole, const Key k) {
       while (hole > 0) {
         const std::size_t parent = (hole - 1) / kArity;
-        if (!(k < key(parent))) break;
-        key(hole) = key(parent);
+        if (!(k < head(parent))) break;
+        head(hole) = head(parent);
         hole = parent;
       }
-      key(hole) = k;
+      head(hole) = k;
     }
 
-    /// The smaller of two key indices, chosen without a branch: which
+    /// The smaller of two head indices, chosen without a branch: which
     /// key is smaller is a coin flip the branch predictor cannot learn.
     std::size_t min_index(std::size_t a, std::size_t b) const {
-      const std::size_t take_b = key(b) < key(a);
+      const std::size_t take_b = head(b) < head(a);
       return a ^ ((a ^ b) & (0 - take_b));
     }
 
@@ -477,49 +544,47 @@ class Engine {
 
     /// Move the hole at the root down until `k` may fill it.
     void sift_down(const Key k) {
+      const std::size_t n = heads_.size();
       std::size_t hole = 0;
       for (;;) {
         const std::size_t first = hole * kArity + 1;
-        if (first >= size_) break;
+        if (first >= n) break;
         std::size_t best;
-        if (first + kArity <= size_) {
+        if (first + kArity <= n) {
           best = group_min<kArity>(first);
         } else {
           best = first;
-          for (std::size_t c = first + 1; c < size_; ++c) best = min_index(best, c);
+          for (std::size_t c = first + 1; c < n; ++c) best = min_index(best, c);
         }
-        if (!(key(best) < k)) break;
-        key(hole) = key(best);
+        if (!(head(best) < k)) break;
+        head(hole) = head(best);
         hole = best;
       }
-      key(hole) = k;
+      head(hole) = k;
     }
 
-    /// Allocate one block of kChunkSize slots and put them on the free
+    /// Allocate one block of kBlockSize slots and put them on the free
     /// list, lowest index first. Returns the tracked allocations made.
     int mint() {
-      int growths = 1;  // the block
-      if (chunks_.size() == chunks_.capacity()) ++growths;
-      // HOT-OK(payload-block mint, amortized over kChunkSize posts; counted in the return value and excused with the observers)
-      chunks_.emplace_back(kChunkSize);
-      const auto base = static_cast<std::uint32_t>((chunks_.size() - 1) << kChunkShift);
-      for (std::uint32_t i = kChunkSize; i-- > 0;) {
-        chunks_.back()[i].next_free = free_;
+      int growths = 2;  // the block's slots and links
+      if (blocks_.size() == blocks_.capacity()) ++growths;
+      // HOT-OK(payload-block mint, amortized over kBlockSize posts; counted in the return value and excused with the observers)
+      Block& block = blocks_.emplace_back();
+      const auto base = static_cast<std::uint32_t>((blocks_.size() - 1) << kBlockShift);
+      for (std::uint32_t i = kBlockSize; i-- > 0;) {
+        block.slots[i].next_free = free_;
         free_ = base + i;
       }
       return growths;
     }
 
-    // The backing stores allocate through the FabricProf counting
-    // allocator (a no-op branch unless the seam is armed), so event-
-    // posting heap traffic is a measured number, not folklore.
-    using Chunk = std::vector<Slot, prof::CountingAllocator<Slot>>;
-    std::vector<Line, prof::CountingAllocator<Line>> lines_;
-    /// Logical index 0 of the heap: the lines, read as one flat array of
-    /// keys, kPad keys in.
-    Key* heap_ = nullptr;
+    /// Run tails, descending: one per run, like the heads.
+    std::vector<Key, prof::CountingAllocator<Key>> tails_;
+    /// The heads heap: one key per run, the minimum first.
+    std::vector<Key, prof::CountingAllocator<Key>> heads_;
+    /// Queued events, over all runs.
     std::size_t size_ = 0;
-    std::vector<Chunk, prof::CountingAllocator<Chunk>> chunks_;
+    std::vector<Block, prof::CountingAllocator<Block>> blocks_;
     std::uint32_t free_ = kNoSlot;
   };
 
@@ -563,6 +628,16 @@ class Engine {
       profiler_->end_event_allocs();
     }
     if (monitor_ != nullptr) monitor_->end_event();
+  }
+  /// Amortized backing-store growth is the one allocation class the
+  /// zero-alloc dispatch contract permits: the queue reports how many
+  /// tracked allocations a push performed (run tails, heads heap,
+  /// payload blocks — 0 in steady state), so the monitor's per-event
+  /// budget and the profiler's allocs_per_event exclude exactly those.
+  void excuse_queue_growth(int growths) {
+    if (growths <= 0) return;
+    if (profiler_ != nullptr) profiler_->on_queue_growth(static_cast<std::uint64_t>(growths));
+    if (monitor_ != nullptr) monitor_->excuse_growth(static_cast<std::uint64_t>(growths));
   }
   /// Digest + bookkeeping for one popped event.
   void account_event(Time at, std::uint64_t seq);

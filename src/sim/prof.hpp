@@ -16,12 +16,12 @@
 //     sampling decision is a counter test, never a clock read, so the
 //     *simulated* results are invariant under any stride (pinned by
 //     tests).
-//   * event-queue churn — posts, heap pops, policy requeues, the peak
-//     queue depth, and an accumulated "heapify cost" (sum of
-//     bit_width(depth) over every queue operation — the height of a
-//     binary heap of that depth). It indexes queue depth, in a form
+//   * event-queue churn — posts, pops, policy requeues, the peak queue
+//     depth, and an accumulated "heapify cost" (sum of bit_width(depth)
+//     over every queue operation — the height of a binary heap of that
+//     depth). It indexes how deep the whole queue was, in a form
 //     comparable across queue implementations; it does not count the
-//     engine's 4-ary sift steps.
+//     engine's work, whose heap holds only the heads of sorted runs.
 //   * allocation churn — a counting-allocator seam (prof::
 //     CountingAllocator) that the Engine's event-queue storage runs on.
 //     Its thread-local tally always counts; the Profiler publishes the
@@ -156,7 +156,8 @@ class Profiler {
     note_heap_op(depth_after);
   }
   /// The Engine's event queue grew a backing store (amortized doubling
-  /// of the key heap, or a new block of the payload slab);
+  /// of the run tails or the heads heap, or a new block of the payload
+  /// slab);
   /// `allocs` is how many tracked allocations that one growth step
   /// performed. Growth allocations that land inside a dispatch bracket
   /// are attributed separately so allocs_per_event() reflects only the

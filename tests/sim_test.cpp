@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -63,12 +64,22 @@ TEST(Engine, SameTimeEventsRunInPostOrder) {
   }
 }
 
-/// A seeded stream for the queue's order test: 16,384 prefilled events
-/// on a coarse time grid (so many share a timestamp), and callbacks that
-/// post 0-2 more, some at now(), until about 30,000 posts in all. The
-/// stream runs through run_until boundaries, then to the end. Returns
-/// the post index of each dispatched event, in dispatch order, and the
-/// (at, post index) of every post.
+/// The two stream shapes of the queue's order test, about 30,000 posts
+/// each.
+/// - kBranching: 16,384 prefilled events on a coarse time grid (so many
+///   share a timestamp), and callbacks that post 0-2 more, some at now().
+/// - kPipelines: the traffic the queue's run merge is built for. Eight
+///   pipelines post windows of 1-24 events in increasing time order,
+///   interleaved with each other, and a fired event may post its
+///   pipeline's next window: runs end and restart. The prefill opens
+///   with 2,048 posts at decreasing times, each earlier than every
+///   queued event, so each starts a run; callbacks add shorter
+///   decreasing bursts.
+enum class StreamShape { kBranching, kPipelines };
+
+/// A seeded stream of one shape. It runs through run_until boundaries,
+/// then to the end. Returns the post index of each dispatched event, in
+/// dispatch order, and the (at, post index) of every post.
 struct DeepStream {
   std::vector<std::uint64_t> dispatched;
   std::vector<std::pair<Time, std::uint64_t>> posted;
@@ -76,31 +87,58 @@ struct DeepStream {
   bool dispatched_past_boundary = false;
 };
 
-DeepStream run_deep_stream(SchedulePolicy* policy) {
+DeepStream run_deep_stream(SchedulePolicy* policy, StreamShape shape) {
   struct Driver {
     Engine engine;
     Xoshiro256 rng{20261020};
+    StreamShape shape;
     DeepStream out;
     Time boundary = 0;
-    void post(Time at) {
+    std::array<Time, 8> pipe_tail{};  ///< each pipeline's latest post
+    void post(Time at, int pipe) {
       const std::uint64_t id = out.posted.size();
       out.posted.emplace_back(at, id);
-      engine.post(at, static_cast<int>(id % 4) - 1, [this, id] { fire(id); });
+      engine.post(at, static_cast<int>(id % 4) - 1, [this, id, pipe] { fire(id, pipe); });
     }
-    void fire(std::uint64_t id) {
+    /// One window of `pipe`: posts 0-3 grid steps apart, from no earlier
+    /// than the pipeline's latest post.
+    void post_window(int pipe) {
+      Time at = std::max(engine.now(), pipe_tail[pipe]);
+      for (std::uint64_t n = 1 + rng.uniform_below(24); n > 0; --n) {
+        at += ns(10) * rng.uniform_below(4);
+        post(at, pipe);
+      }
+      pipe_tail[pipe] = at;
+    }
+    void fire(std::uint64_t id, int pipe) {
       if (engine.now() > boundary) out.dispatched_past_boundary = true;
       out.dispatched.push_back(id);
       if (out.posted.size() >= 30'000) return;
-      const std::uint64_t children = rng.uniform_below(3);
-      for (std::uint64_t c = 0; c < children; ++c) {
-        const bool at_now = rng.bernoulli(0.25);
-        post(engine.now() + (at_now ? 0 : ns(10) * (1 + rng.uniform_below(64))));
+      if (shape == StreamShape::kBranching) {
+        const std::uint64_t children = rng.uniform_below(3);
+        for (std::uint64_t c = 0; c < children; ++c) {
+          const bool at_now = rng.bernoulli(0.25);
+          post(engine.now() + (at_now ? 0 : ns(10) * (1 + rng.uniform_below(64))), pipe);
+        }
+        return;
+      }
+      if (rng.bernoulli(0.125)) post_window(pipe);
+      if (rng.bernoulli(0.03125)) {
+        for (std::uint64_t n = 1 + rng.uniform_below(32); n > 0; --n) {
+          post(engine.now() + ns(1) * n, pipe);
+        }
       }
     }
   };
   Driver driver;
+  driver.shape = shape;
   driver.engine.set_schedule_policy(policy);
-  for (int i = 0; i < 16'384; ++i) driver.post(ns(10) * driver.rng.uniform_below(512));
+  if (shape == StreamShape::kBranching) {
+    for (int i = 0; i < 16'384; ++i) driver.post(ns(10) * driver.rng.uniform_below(512), 0);
+  } else {
+    for (int i = 2048; i > 0; --i) driver.post(ns(2) * i, i % 8);
+    for (int pipe = 0; pipe < 8; ++pipe) driver.post_window(pipe);
+  }
   for (Time t = ns(500); t <= us(6); t += ns(500)) {
     driver.boundary = t;
     driver.engine.run_until(t);
@@ -113,25 +151,28 @@ DeepStream run_deep_stream(SchedulePolicy* policy) {
 }
 
 TEST(Engine, DeepQueueDispatchesInStableTimeOrder) {
-  const DeepStream bare = run_deep_stream(nullptr);
-  EXPECT_GT(bare.posted.size(), 20'000u);
-  EXPECT_FALSE(bare.dispatched_past_boundary) << "run_until ran an event past its boundary";
-  // Every post was dispatched once, in (at, post index) order: a stable
-  // sort of the posts by time.
-  std::vector<std::pair<Time, std::uint64_t>> expected = bare.posted;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  ASSERT_EQ(bare.dispatched.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(bare.dispatched[i], expected[i].second) << "dispatch " << i;
+  for (const StreamShape shape : {StreamShape::kBranching, StreamShape::kPipelines}) {
+    SCOPED_TRACE(shape == StreamShape::kBranching ? "branching stream" : "pipeline stream");
+    const DeepStream bare = run_deep_stream(nullptr, shape);
+    EXPECT_GT(bare.posted.size(), 20'000u);
+    EXPECT_FALSE(bare.dispatched_past_boundary) << "run_until ran an event past its boundary";
+    // Every post was dispatched once, in (at, post index) order: a stable
+    // sort of the posts by time.
+    std::vector<std::pair<Time, std::uint64_t>> expected = bare.posted;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    ASSERT_EQ(bare.dispatched.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(bare.dispatched[i], expected[i].second) << "dispatch " << i;
+    }
+    // A policy that always picks the head pops every co-enabled set and
+    // pushes the rest back; the order and the digest must not move.
+    InsertionOrderPolicy head;
+    const DeepStream with_policy = run_deep_stream(&head, shape);
+    EXPECT_EQ(with_policy.dispatched, bare.dispatched);
+    EXPECT_EQ(with_policy.posted, bare.posted);
+    EXPECT_EQ(with_policy.digest, bare.digest);
   }
-  // A policy that always picks the head pops every co-enabled set and
-  // pushes the rest back; the order and the digest must not move.
-  InsertionOrderPolicy head;
-  const DeepStream with_policy = run_deep_stream(&head);
-  EXPECT_EQ(with_policy.dispatched, bare.dispatched);
-  EXPECT_EQ(with_policy.posted, bare.posted);
-  EXPECT_EQ(with_policy.digest, bare.digest);
 }
 
 TEST(EventKey, PackRoundTripsItsLimitsAndRejectsPastThem) {
